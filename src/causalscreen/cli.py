@@ -22,9 +22,15 @@ from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .connectome import ConnectomeSpec, run_connectome
-from .experiments import CorpusConfig, aggregate, bench_run, write_metrics_csv
+from .experiments import (
+    CorpusConfig,
+    SoundnessViolation,
+    aggregate,
+    bench_run,
+    write_metrics_csv,
+)
 from .graphs import DirectedMixedGraph, GraphError
-from .hawkes import HawkesModel, Intervention, simulate, simulate_intervened
+from .hawkes import HawkesModel, Intervention, SimulationError, simulate, simulate_intervened
 from .screening import Algorithm, run
 from .separation import GraphicalOracle
 
@@ -316,7 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             setattr(ns, attr, default)
     try:
         return ns.func(ns)
-    except (GraphError, ValueError, OSError) as exc:
+    except (GraphError, ValueError, OSError, SimulationError, SoundnessViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

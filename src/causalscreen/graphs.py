@@ -272,8 +272,17 @@ class DirectedMixedGraph:
                 return by_name[str(x)]
             raise GraphError(f"unknown node reference {x!r}")
 
-        directed = [(resolve(t), resolve(h)) for t, h in doc.get("directed", ())]
-        bidirected = [(resolve(a), resolve(b)) for a, b in doc.get("bidirected", ())]
+        def pairs(key):
+            edges = doc.get(key, ())
+            if not isinstance(edges, (list, tuple)):
+                raise GraphError(f"'{key}' must be an array of node pairs")
+            for e in edges:
+                if not isinstance(e, (list, tuple)) or len(e) != 2:
+                    raise GraphError(f"malformed {key} edge {e!r}: expected a pair of nodes")
+            return [(resolve(a), resolve(b)) for a, b in edges]
+
+        directed = pairs("directed")
+        bidirected = pairs("bidirected")
         return cls(len(names), directed, bidirected, labels=[str(x) for x in names])
 
     @classmethod

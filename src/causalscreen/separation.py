@@ -24,8 +24,10 @@ reverse).
 
 The search runs over (node, arrival-mark) states, which is sound because
 the walk constraints at an occurrence depend only on that state and the
-chosen departure. ``brute_force_mu_separated`` rechecks the definition at
-the walk level for small graphs and exists to cross-validate the search.
+chosen departure. Each graph is compiled once into an int-state form (see
+``_Compiled``) that every later query reuses. ``brute_force_mu_separated``
+rechecks the definition at the walk level for small graphs and exists to
+cross-validate the search.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ def _moves(g: DirectedMixedGraph):
 
 
 def _query_sets(g, sources, targets, given):
-    a = frozenset(int(v) for v in sources)
-    b = frozenset(int(v) for v in targets)
-    c = frozenset(int(v) for v in given)
+    a = frozenset(map(int, sources))
+    b = frozenset(map(int, targets))
+    c = frozenset(map(int, given))
     if not a or not b:
         raise GraphError("source and target sets must be nonempty")
     for s in (a, b, c):
@@ -90,12 +92,73 @@ def _query_sets(g, sources, targets, given):
     return a, b, c
 
 
+class _Compiled:
+    """Int-state form of one graph, answering separation by reachability.
+
+    Nodes are renumbered to ``0..N-1`` in sorted id order, and a walk state
+    (node ``i``, arrival mark ``m``) becomes the int ``2*i + m``. Per node
+    there are three successor tuples over those states: departures by head,
+    departures by tail, and both together. Ancestor sets are int bitmasks
+    over the renumbered nodes, one per node, filled on first use, so that
+    anc(C) is the OR of the masks of C. The form depends only on the graph,
+    which is immutable, so it is built once and cached on the graph; two
+    threads that build it or fill the same mask at once store equal values.
+    """
+
+    __slots__ = ("index", "head_out", "tail_out", "all_out", "parents", "anc")
+
+    def __init__(self, g: DirectedMixedGraph):
+        self.index = index = {v: i for i, v in enumerate(g.nodes)}
+        moves = _moves(g)
+        head_out, tail_out = [], []
+        for v in g.nodes:
+            ms = moves[v]
+            head_out.append(tuple(2 * index[w] + am for dm, w, am in ms if dm == HEAD))
+            tail_out.append(tuple(2 * index[w] + am for dm, w, am in ms if dm == TAIL))
+        self.head_out = tuple(head_out)
+        self.tail_out = tuple(tail_out)
+        self.all_out = tuple(h + t for h, t in zip(head_out, tail_out))
+        self.parents = tuple(tuple(index[p] for p in g.parents(v)) for v in g.nodes)
+        self.anc = [0] * len(index)
+
+    def ancestor_mask(self, i: int) -> int:
+        """Bitmask of the ancestors of node ``i`` (``i`` included)."""
+        mask = self.anc[i]
+        if not mask:
+            mask = 1 << i
+            stack = [i]
+            parents = self.parents
+            while stack:
+                for p in parents[stack.pop()]:
+                    bit = 1 << p
+                    if not mask & bit:
+                        mask |= bit
+                        stack.append(p)
+            self.anc[i] = mask
+        return mask
+
+
+def _compiled(g: DirectedMixedGraph) -> _Compiled:
+    try:
+        return g._cache["compiled"]
+    except KeyError:
+        pass
+    form = _Compiled(g)
+    g._cache["compiled"] = form
+    return form
+
+
+# Seen-set entry that marks a head arrival at a target.
+_TARGET = 2
+
+
 def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
                  targets: Iterable[int], given: Iterable[int] = ()) -> bool:
     """True when ``targets`` is separated from ``sources`` given ``given``.
 
-    Runs a breadth-first search over (node, arrival-mark) states; a state
-    (b, HEAD) with b in ``targets`` witnesses a connecting walk.
+    Searches the (node, arrival-mark) states of the graph's compiled form;
+    reaching a head arrival at a node of ``targets`` witnesses a
+    connecting walk.
 
     >>> g = DirectedMixedGraph(3, directed=[(0, 1), (1, 2)])
     >>> mu_separated(g, {0}, {2}, {1})
@@ -107,35 +170,45 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     starts = a - c
     if not starts:
         return True
-    anc = ancestors(g, c)
-    moves = _moves(g)
+    form = _compiled(g)
+    index = form.index
+    head_out, tail_out, all_out = form.head_out, form.tail_out, form.all_out
+    cs = {index[v] for v in c}
+    masks = form.anc
+    anc = 0
+    for i in cs:
+        anc |= masks[i] or form.ancestor_mask(i)
 
-    seen = set()
+    seen = bytearray(2 * len(index))
+    for v in b:
+        seen[2 * index[v] + HEAD] = _TARGET
+    # A source departs freely, as from a tail arrival outside C.
     queue = deque()
-    for v in sorted(starts):
-        for _, w, am in moves[v]:
-            state = (w, am)
-            if state in seen:
-                continue
-            if am == HEAD and w in b:
-                return False
-            seen.add(state)
-            queue.append(state)
+    for v in starts:
+        s = 2 * index[v] + TAIL
+        seen[s] = 1
+        queue.append(s)
+    push, pop = queue.append, queue.popleft
     while queue:
-        v, mark = queue.popleft()
-        for dm, w, am in moves[v]:
-            if mark == HEAD and dm == HEAD:
-                if v not in anc:   # collider must be an ancestor of C
-                    continue
-            elif v in c:           # noncollider must avoid C
+        s = pop()
+        v = s >> 1
+        if v in cs:
+            # a noncollider must avoid C; a collider in C is in anc(C)
+            if s & HEAD:
+                succ = head_out[v]
+            else:
                 continue
-            state = (w, am)
-            if state in seen:
-                continue
-            if am == HEAD and w in b:
+        elif s & HEAD and not anc >> v & 1:
+            succ = tail_out[v]   # collider must be an ancestor of C
+        else:
+            succ = all_out[v]
+        for w in succ:
+            mark = seen[w]
+            if not mark:
+                seen[w] = 1
+                push(w)
+            elif mark == _TARGET:
                 return False
-            seen.add(state)
-            queue.append(state)
     return True
 
 
@@ -315,9 +388,9 @@ class GraphicalOracle:
 
     def query(self, sources, targets, given=()) -> bool:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
-        a = frozenset(int(v) for v in sources)
-        b = frozenset(int(v) for v in targets)
-        c = frozenset(int(v) for v in given)
+        a = frozenset(map(int, sources))
+        b = frozenset(map(int, targets))
+        c = frozenset(map(int, given))
         for s in (a, b, c):
             hidden = s - self._observed
             if hidden:

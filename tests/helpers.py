@@ -6,12 +6,13 @@ incremental bookkeeping), so agreement is meaningful.
 """
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from causalscreen import DirectedMixedGraph
+from causalscreen import DirectedMixedGraph, ancestors
 from causalscreen.experiments import CorpusConfig, random_dmg
 
 HEAD, TAIL = 1, 0
@@ -63,6 +64,55 @@ def enumerate_trek_into(g: DirectedMixedGraph, src: int, dst: int) -> bool:
 
     # TAIL start: the first departure from src is unconstrained.
     return walk(src, TAIL, {src})
+
+
+def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) -> bool:
+    """Breadth-first search over (node, arrival-mark) tuples, without compilation.
+
+    The search ``mu_separated`` ran before graphs were compiled to int
+    states: anc(C) by a fresh BFS per query, a move table keyed by node id,
+    and a set of tuples for the visited states.
+    """
+    a, b, c = frozenset(sources), frozenset(targets), frozenset(given)
+    starts = a - c
+    if not starts:
+        return True
+    anc = ancestors(g, c)
+    moves = {v: [] for v in g.nodes}
+    for t, h in g.directed:
+        moves[t].append((TAIL, h, HEAD))
+        moves[h].append((HEAD, t, TAIL))
+    for x, y in g.bidirected:
+        moves[x].append((HEAD, y, HEAD))
+        moves[y].append((HEAD, x, HEAD))
+
+    seen = set()
+    queue = deque()
+    for v in sorted(starts):
+        for _, w, am in moves[v]:
+            state = (w, am)
+            if state in seen:
+                continue
+            if am == HEAD and w in b:
+                return False
+            seen.add(state)
+            queue.append(state)
+    while queue:
+        v, mark = queue.popleft()
+        for dm, w, am in moves[v]:
+            if mark == HEAD and dm == HEAD:
+                if v not in anc:
+                    continue
+            elif v in c:
+                continue
+            state = (w, am)
+            if state in seen:
+                continue
+            if am == HEAD and w in b:
+                return False
+            seen.add(state)
+            queue.append(state)
+    return True
 
 
 def descendant_closure(g: DirectedMixedGraph, v: int) -> set[int]:

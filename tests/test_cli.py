@@ -1,4 +1,5 @@
 """Command-line surface: every subcommand end to end, in process."""
+import dataclasses
 import io
 import json
 import subprocess
@@ -6,7 +7,14 @@ import sys
 
 import pytest
 
-from causalscreen import DirectedMixedGraph, EventHistory, ExponentialKernel, HawkesModel
+from causalscreen import (
+    DirectedMixedGraph,
+    EventHistory,
+    ExponentialKernel,
+    HawkesModel,
+    connectome,
+    experiments,
+)
 from causalscreen.cli import main
 from conftest import DEMO_EDGES, DEMO_LABELS
 
@@ -242,3 +250,52 @@ def test_module_entry_point(graph_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "A;B;C;answer\ne;d;d;false\n"
+
+
+class TestFailuresEndAsErrors:
+    """Failed runs print ``error: ...`` and exit 2 instead of a traceback."""
+
+    def test_malformed_edge(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"nodes": ["a", "b"], "directed": [[0, 1, 2]]}))
+        rc = main(["musep", "--graph", str(path), "-A", "a", "-B", "b"])
+        assert rc == 2
+        assert "error: malformed directed edge [0, 1, 2]" in capsys.readouterr().err
+
+    def test_non_stationary_model(self, tmp_path, capsys):
+        m = HawkesModel((0.5,), ((K(2.0, 1.0),),), 10.0)
+        path = tmp_path / "explosive.json"
+        with open(path, "w") as fh:
+            m.to_json(fh)
+        rc = main(["simulate", "--model", str(path)])
+        assert rc == 2
+        assert "error: model is not stationary" in capsys.readouterr().err
+
+    def test_event_cap(self, model_file, capsys):
+        rc = main(["simulate", "--model", model_file, "--max-events", "1"])
+        assert rc == 2
+        assert "error: event cap 1 exceeded" in capsys.readouterr().err
+
+    @staticmethod
+    def _drop_learned_edges(monkeypatch, module):
+        real_run = module.run
+
+        def lossy_run(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            g = result.graph
+            empty = DirectedMixedGraph(g.nodes, labels=g.labels())
+            return dataclasses.replace(result, graph=empty)
+
+        monkeypatch.setattr(module, "run", lossy_run)
+
+    def test_soundness_violation_in_bench(self, monkeypatch, capsys):
+        self._drop_learned_edges(monkeypatch, experiments)
+        rc = main(TestBench.ARGS)
+        assert rc == 2
+        assert "error: output lacks" in capsys.readouterr().err
+
+    def test_soundness_violation_in_connectome(self, monkeypatch, synapse_file, capsys):
+        self._drop_learned_edges(monkeypatch, connectome)
+        rc = main(["connectome", "--file", synapse_file, "--sample", "3", "--seed", "11"])
+        assert rc == 2
+        assert "error: output lacks" in capsys.readouterr().err

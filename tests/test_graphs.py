@@ -1,5 +1,6 @@
 """Structural layer: construction, ancestry, projection, treks, serialization."""
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -240,3 +241,14 @@ class TestSerialization:
     def test_round_trip_keeps_labels(self, demo_graph):
         back = DirectedMixedGraph.from_json(demo_graph.to_json())
         assert back.labels() == demo_graph.labels()
+
+    @pytest.mark.parametrize("key", ["directed", "bidirected"])
+    @pytest.mark.parametrize("edge", [[0, 1, 2], [0], 5, "ab", None])
+    def test_malformed_edge_is_named(self, key, edge):
+        doc = {"nodes": ["a", "b", "c"], key: [[0, 1], edge]}
+        with pytest.raises(GraphError, match=re.escape(f"malformed {key} edge {edge!r}:")):
+            DirectedMixedGraph.from_json_dict(doc)
+
+    def test_edge_section_must_be_an_array(self):
+        with pytest.raises(GraphError, match="'directed' must be an array"):
+            DirectedMixedGraph.from_json_dict({"nodes": ["a"], "directed": 5})
