@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
-from .graphs import DirectedMixedGraph, GraphError, ancestors
+from .graphs import DirectedMixedGraph, GraphError, ancestors, latent_projection
 
 __all__ = [
     "HEAD",
@@ -339,8 +339,13 @@ class GraphicalOracle:
 
     The oracle owns the ground-truth graph and exposes only queries over an
     observed subset of its nodes. Every call increments the counter, repeat
-    queries and memo hits included; the counter is the cost model of the
-    screening algorithms. Answers are deterministic.
+    queries included; the counter is the cost model of the screening
+    algorithms. Invalid queries raise :class:`GraphError` and are not
+    counted. Answers are deterministic.
+
+    Queries are answered on the latent projection of the truth onto the
+    observed set, which has the same separation statements among observed
+    nodes and only those nodes (the truth itself when nothing is hidden).
 
     Parameters
     ----------
@@ -350,12 +355,10 @@ class GraphicalOracle:
         Queryable nodes (defaults to all truth nodes).
     keep_log : bool
         Record every query as a :class:`SeparationQuery`.
-    memo : bool
-        Cache answers by query; calls still count.
     """
 
     def __init__(self, truth: DirectedMixedGraph, observed=None, *,
-                 keep_log: bool = False, memo: bool = False):
+                 keep_log: bool = False):
         self._truth = truth
         if observed is None:
             self._observed = truth.node_set
@@ -364,10 +367,10 @@ class GraphicalOracle:
             unknown = self._observed - truth.node_set
             if unknown:
                 raise GraphError(f"observed set mentions unknown nodes {sorted(unknown)}")
+        self._graph = latent_projection(truth, self._observed)
         self._calls = 0
         self._lock = threading.Lock()
         self._log = [] if keep_log else None
-        self._memo = {} if memo else None
 
     @property
     def observed(self) -> frozenset:
@@ -395,14 +398,11 @@ class GraphicalOracle:
             hidden = s - self._observed
             if hidden:
                 raise GraphError(f"query mentions unobserved nodes {sorted(hidden)}")
+        if not a or not b:
+            raise GraphError("source and target sets must be nonempty")
         with self._lock:
             self._calls += 1
-        if self._memo is not None and (a, b, c) in self._memo:
-            answer = self._memo[(a, b, c)]
-        else:
-            answer = mu_separated(self._truth, a, b, c)
-            if self._memo is not None:
-                self._memo[(a, b, c)] = answer
+        answer = mu_separated(self._graph, a, b, c)
         if self._log is not None:
             self._log.append(SeparationQuery(a, b, c, answer))
         return answer

@@ -115,6 +115,46 @@ def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) ->
     return True
 
 
+def reference_latent_projection(g: DirectedMixedGraph, observed) -> DirectedMixedGraph:
+    """Marginalize onto ``observed`` by eliminating latent nodes one at a time.
+
+    The projection ``latent_projection`` computed before it was rewritten
+    as a closure. Removing ``l`` composes every pair of its incident edges
+    that does not meet head-to-head at ``l``:
+
+    * ``x -> l`` with ``l -> y``   gives ``x -> y``
+    * ``l -> x`` with ``l -> y``   gives ``x <-> y``
+    * ``l -> x`` with ``l <-> y``  gives ``x <-> y``
+
+    Bidirected self-edges produced by composition are discarded.
+    """
+    obs = frozenset(observed)
+    directed = set(g.directed)
+    bidirected = set(g.bidirected)
+
+    for l in sorted(set(g.nodes) - obs):
+        ins = sorted({t for (t, h) in directed if h == l and t != l})
+        outs = sorted({h for (t, h) in directed if t == l and h != l})
+        sibs = sorted({a if b == l else b for (a, b) in bidirected if l in (a, b)})
+
+        for x in ins:
+            for y in outs:
+                directed.add((x, y))
+        for i, x in enumerate(outs):
+            for y in outs[i + 1:]:
+                bidirected.add((min(x, y), max(x, y)))
+        for x in outs:
+            for y in sibs:
+                if x != y:
+                    bidirected.add((min(x, y), max(x, y)))
+
+        directed = {(t, h) for (t, h) in directed if t != l and h != l}
+        bidirected = {(a, b) for (a, b) in bidirected if l not in (a, b)}
+
+    labels = [g.label(v) for v in sorted(obs)]
+    return DirectedMixedGraph(obs, directed, bidirected, labels=labels)
+
+
 def descendant_closure(g: DirectedMixedGraph, v: int) -> set[int]:
     """Forward reachability over directed edges, reflexive."""
     seen = {v}
@@ -153,3 +193,18 @@ def graph_strategy(draw, max_n=6, with_bidirected=True):
         bpairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         bidirected = draw(st.sets(st.sampled_from(bpairs)))
     return DirectedMixedGraph(n, directed, bidirected)
+
+
+@st.composite
+def sparse_dmg(draw, max_n=30):
+    """Random directed mixed graph on arbitrary nonnegative ids."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ids = sorted(draw(st.sets(st.integers(0, 10**9), min_size=n, max_size=n)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    directed = draw(st.lists(pair, max_size=3 * n))
+    bidirected = draw(st.lists(pair, max_size=n))
+    return DirectedMixedGraph(
+        ids,
+        [(ids[t], ids[h]) for t, h in directed],
+        [(ids[x], ids[y]) for x, y in bidirected if x != y],
+    )

@@ -8,25 +8,10 @@ from causalscreen import (
     directed_trek_exists,
     mu_separated,
 )
-from helpers import powerset, random_corpus, reference_mu_separated
+from helpers import powerset, random_corpus, reference_mu_separated, sparse_dmg
 
 # Sorted, gapped ids: the compiled form renumbers them to 0..N-1.
 SPARSE_IDS = (3, 17, 1000, 1001, 40_000, 10**9)
-
-
-@st.composite
-def sparse_dmg(draw, max_n=30):
-    """Random directed mixed graph on arbitrary nonnegative ids."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    ids = sorted(draw(st.sets(st.integers(0, 10**9), min_size=n, max_size=n)))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    directed = draw(st.lists(pair, max_size=3 * n))
-    bidirected = draw(st.lists(pair, max_size=n))
-    return DirectedMixedGraph(
-        ids,
-        [(ids[t], ids[h]) for t, h in directed],
-        [(ids[x], ids[y]) for x, y in bidirected if x != y],
-    )
 
 
 @given(sparse_dmg(), st.data())

@@ -138,8 +138,8 @@ class TestBruteForceAgreement:
 
 
 class TestOracle:
-    def test_counts_every_call_even_memo_hits(self, chain3):
-        oracle = GraphicalOracle(chain3, memo=True)
+    def test_counts_every_call_including_repeats(self, chain3):
+        oracle = GraphicalOracle(chain3)
         first = oracle.query({0}, {2}, {1})
         second = oracle.query({0}, {2}, {1})
         assert first is True and second is True
@@ -149,6 +149,13 @@ class TestOracle:
         oracle = GraphicalOracle(chain3, observed=(0, 1))
         with pytest.raises(GraphError):
             oracle.query({0}, {2}, ())
+        assert oracle.calls == 0
+
+    def test_empty_query_does_not_count(self, chain3):
+        oracle = GraphicalOracle(chain3)
+        for sources, targets in ((set(), {2}), ({0}, set()), (set(), set())):
+            with pytest.raises(GraphError):
+                oracle.query(sources, targets, {1})
         assert oracle.calls == 0
 
     def test_observed_validation(self, chain3):
