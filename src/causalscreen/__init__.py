@@ -30,7 +30,6 @@ from .screening import (
     TraceEntry,
     ancestry_propagation,
     ancestry_propagation_cheap,
-    ca_baseline,
     parent_step,
     run,
     trek_step,
@@ -81,7 +80,7 @@ __all__ = [
     "GraphicalOracle", "SeparationQuery", "brute_force_mu_separated",
     "mu_separated", "walk_is_mu_connecting",
     "Algorithm", "LearnResult", "TraceEntry", "ancestry_propagation",
-    "ancestry_propagation_cheap", "ca_baseline", "parent_step", "run", "trek_step",
+    "ancestry_propagation_cheap", "parent_step", "run", "trek_step",
     "EventHistory", "ExponentialKernel", "HawkesModel", "Intervention",
     "SimulationError", "causal_graph", "compensator", "intensity",
     "rescaled_intervals", "simulate", "simulate_intervened",

@@ -334,25 +334,13 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     while True:
         lam_right = np.where(active, mu + (A * S).sum(axis=1), 0.0)
         lbar = float(lam_right.sum())
-        next_forced = forced[fi][0] if fi < len(forced) else math.inf
 
-        if lbar <= 0.0:
-            if next_forced > T:
-                break
-            tf, nf = forced[fi]
-            S *= np.exp(-B * (tf - t))
-            t = tf
-            fi += 1
-            record(nf, tf)
-            continue
-
-        # Draw order per candidate: candidate-time draw, then (if the
+        # Draw order per candidate: candidate-time draw (none while the
+        # envelope is zero, which leaves only forced events), then (if the
         # candidate is within the horizon and not preempted by a forced
         # event) acceptance draw, then (if accepted) node-selection draw.
-        u_time = rng.random()
-        t_cand = t - math.log1p(-u_time) / lbar
-
-        if next_forced <= t_cand:
+        t_cand = t - math.log1p(-rng.random()) / lbar if lbar > 0.0 else math.inf
+        if fi < len(forced) and forced[fi][0] <= t_cand:
             # Forced event preempts the candidate; its time draw is discarded.
             tf, nf = forced[fi]
             S *= np.exp(-B * (tf - t))

@@ -61,7 +61,6 @@ __all__ = [
     "parent_step",
     "ancestry_propagation_cheap",
     "ancestry_propagation",
-    "ca_baseline",
     "run",
 ]
 
@@ -99,18 +98,16 @@ class LearnResult:
 
 
 class _Work:
-    """Mutable working copy of a directed graph over the observed nodes."""
+    """Mutable working copy of a directed graph, kept as one parent set per node."""
 
     def __init__(self, nodes: Sequence[int]):
         self.nodes = tuple(sorted(nodes))
-        self.edges = {(a, b) for a in self.nodes for b in self.nodes}
         self.parents = {b: set(self.nodes) for b in self.nodes}
 
     def has(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges
+        return a in self.parents[b]
 
     def remove(self, a: int, b: int) -> None:
-        self.edges.discard((a, b))
         self.parents[b].discard(a)
 
     @classmethod
@@ -119,12 +116,12 @@ class _Work:
             raise GraphError("screening works on directed graphs only")
         w = cls.__new__(cls)
         w.nodes = g.nodes
-        w.edges = set(g.directed)
         w.parents = {b: set(g.parents(b)) for b in g.nodes}
         return w
 
     def freeze(self, labels=None) -> DirectedMixedGraph:
-        return DirectedMixedGraph(self.nodes, self.edges, (), labels=labels)
+        edges = [(a, b) for b, ps in self.parents.items() for a in ps]
+        return DirectedMixedGraph(self.nodes, edges, (), labels=labels)
 
 
 def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):
@@ -164,7 +161,6 @@ def _trek_stage(oracle, work, pairs, trace, certs):
 
 
 def _parent_stage(oracle, work, pairs, trace, certs):
-    removed_any = False
     for a, b in pairs:
         if not work.has(a, b):
             continue
@@ -173,10 +169,8 @@ def _parent_stage(oracle, work, pairs, trace, certs):
             work.remove(a, b)
             certs[(a, b)] = given
             trace.append(TraceEntry((a, b), "removed", "parent"))
-            removed_any = True
         else:
             trace.append(TraceEntry((a, b), "kept", "parent"))
-    return removed_any
 
 
 def _cheap_ancestry_stage(work, trace):
@@ -246,17 +240,10 @@ def trek_step(oracle, observed=None, *, order: str = "lex", seed: int = 0) -> Di
 
 
 def parent_step(oracle, dg: DirectedMixedGraph, *, order: str = "lex",
-                seed: int = 0, fixpoint: bool = False) -> DirectedMixedGraph:
-    """One live pass of parent-set tests over the present edges of ``dg``.
-
-    ``fixpoint`` repeats the pass until no edge falls. The single pass is
-    the reference behavior; the fixpoint variant trades extra queries for
-    possibly fewer excess edges and is offered for exploration only.
-    """
+                seed: int = 0) -> DirectedMixedGraph:
+    """One live pass of parent-set tests over the present edges of ``dg``."""
     work = _Work.from_graph(dg)
-    pairs = _ordered_pairs(work.nodes, order, seed)
-    while _parent_stage(oracle, work, pairs, [], {}) and fixpoint:
-        pass
+    _parent_stage(oracle, work, _ordered_pairs(work.nodes, order, seed), [], {})
     return work.freeze(dg.labels())
 
 
@@ -272,11 +259,6 @@ def ancestry_propagation(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
     work = _Work.from_graph(dg)
     _tested_ancestry_stage(oracle, work, [])
     return work.freeze(dg.labels())
-
-
-def ca_baseline(oracle, observed=None, *, order: str = "lex", seed: int = 0) -> "LearnResult":
-    """Exhaustive screening baseline; see :func:`run` with ``Algorithm.CA``."""
-    return run(Algorithm.CA, oracle, observed, order=order, seed=seed)
 
 
 # -- composed runs ----------------------------------------------------------

@@ -346,6 +346,9 @@ class GraphicalOracle:
     Queries are answered on the latent projection of the truth onto the
     observed set, which has the same separation statements among observed
     nodes and only those nodes (the truth itself when nothing is hidden).
+    The projection is all the oracle keeps of the truth: its node set is
+    the observed set, it carries the truth's labels, and
+    :func:`mu_separated` on it is the one place a query is validated.
 
     Parameters
     ----------
@@ -359,22 +362,14 @@ class GraphicalOracle:
 
     def __init__(self, truth: DirectedMixedGraph, observed=None, *,
                  keep_log: bool = False):
-        self._truth = truth
-        if observed is None:
-            self._observed = truth.node_set
-        else:
-            self._observed = frozenset(int(v) for v in observed)
-            unknown = self._observed - truth.node_set
-            if unknown:
-                raise GraphError(f"observed set mentions unknown nodes {sorted(unknown)}")
-        self._graph = latent_projection(truth, self._observed)
+        self._graph = latent_projection(truth, truth.node_set if observed is None else observed)
         self._calls = 0
         self._lock = threading.Lock()
         self._log = [] if keep_log else None
 
     @property
     def observed(self) -> frozenset:
-        return self._observed
+        return self._graph.node_set
 
     @property
     def calls(self) -> int:
@@ -385,26 +380,18 @@ class GraphicalOracle:
         return tuple(self._log) if self._log is not None else None
 
     def label(self, v: int) -> str:
-        if v not in self._observed:
-            raise GraphError(f"node {v} is not observed")
-        return self._truth.label(v)
+        return self._graph.label(v)
 
     def query(self, sources, targets, given=()) -> bool:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
-        a = frozenset(map(int, sources))
-        b = frozenset(map(int, targets))
-        c = frozenset(map(int, given))
-        for s in (a, b, c):
-            hidden = s - self._observed
-            if hidden:
-                raise GraphError(f"query mentions unobserved nodes {sorted(hidden)}")
-        if not a or not b:
-            raise GraphError("source and target sets must be nonempty")
+        if self._log is not None:
+            # freeze once, so one-shot iterators reach both search and log
+            sources, targets, given = (frozenset(map(int, s)) for s in (sources, targets, given))
+        answer = mu_separated(self._graph, sources, targets, given)
         with self._lock:
             self._calls += 1
-        answer = mu_separated(self._graph, a, b, c)
         if self._log is not None:
-            self._log.append(SeparationQuery(a, b, c, answer))
+            self._log.append(SeparationQuery(sources, targets, given, answer))
         return answer
 
     def export_log_csv(self, fh: TextIO) -> None:
@@ -412,7 +399,7 @@ class GraphicalOracle:
         if self._log is None:
             raise ValueError("oracle was created without keep_log")
         fh.write("A;B;C;answer\n")
-        lab = self._truth.label
+        lab = self._graph.label
         for q in self._log:
             fh.write(";".join([
                 "|".join(lab(v) for v in sorted(q.sources)),

@@ -256,6 +256,19 @@ class TestInterventions:
         busy = simulate_intervened(m, Intervention(0, dense_times), 21)
         assert len(busy.times[1]) > len(quiet.times[1])
 
+    def test_zero_envelope_golden(self):
+        """No baseline rate: the envelope is zero until a forced event lands.
+
+        While it is zero no candidate time is drawn and the next forced event
+        is taken directly; the pinned times fix the draw order around it.
+        """
+        zero = K(0.0, 1.0)
+        m = HawkesModel((0.0, 0.0), ((zero, zero), (K(1.5, 2.0), zero)), 10.0)
+        h = simulate_intervened(m, Intervention(0, (1.0, 2.0, 3.0, 7.5)), 5)
+        assert h.counts() == (4, 3)
+        assert h.times[1] == (3.0320371083104116, 3.0605830104850424, 3.749826114754872)
+        assert simulate(m, 5).total == 0
+
     def test_validation(self):
         m = two_node_model()
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from causalscreen import (
     ancestry_propagation,
     ancestry_propagation_cheap,
     brute_force_mu_separated,
-    ca_baseline,
     canonical_dg,
     excess_edges,
     parent_graph,
@@ -89,29 +88,6 @@ class TestParentStep:
         last = oracle.log[-1]
         assert last.sources == frozenset({1})
         assert last.given == frozenset({2})
-
-    def test_fixpoint_repeats_until_stable(self):
-        truth, d = self.chain_and_trek()
-        oracle = GraphicalOracle(truth)
-        out = parent_step(oracle, d, fixpoint=True)
-        assert nonloop(out) == {(0, 1), (1, 2)}
-        # pass one removes (0, 2) in 3 queries, pass two rechecks survivors
-        assert oracle.calls == 5
-
-    def test_fixpoint_on_clean_input_is_one_pass(self):
-        truth = DirectedMixedGraph(3, [(0, 1), (1, 2)])
-        oracle = GraphicalOracle(truth)
-        out = parent_step(oracle, truth, fixpoint=True)
-        assert out == truth
-        assert oracle.calls == 2
-
-    def test_fixpoint_never_keeps_more(self):
-        for k, g in enumerate(random_corpus(40, 13, ns=(4, 5))):
-            obs = random_observed(g.n, 13, k)
-            d = trek_step(GraphicalOracle(g, obs))
-            single = parent_step(GraphicalOracle(g, obs), d)
-            fixed = parent_step(GraphicalOracle(g, obs), d, fixpoint=True)
-            assert nonloop(fixed) <= nonloop(single)
 
     def test_rejects_bidirected_input(self, chain3):
         with pytest.raises(GraphError):
@@ -240,7 +216,7 @@ class TestComposedRuns:
         }
 
     def test_ca_on_chain(self, chain3):
-        res = ca_baseline(GraphicalOracle(chain3))
+        res = run("ca", GraphicalOracle(chain3))
         assert res.graph == chain3
         assert res.oracle_calls == 17
         # CA certificates are minimum-cardinality separating sets

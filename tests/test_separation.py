@@ -10,6 +10,7 @@ from causalscreen import (
     DirectedMixedGraph,
     GraphError,
     GraphicalOracle,
+    SeparationQuery,
     brute_force_mu_separated,
     directed_trek_exists,
     mu_separated,
@@ -170,6 +171,13 @@ class TestOracle:
         assert entry.targets == frozenset({2})
         assert entry.given == frozenset({1})
         assert entry.independent is True
+
+    def test_log_freezes_one_shot_iterators(self, chain3):
+        oracle = GraphicalOracle(chain3, keep_log=True)
+        assert oracle.query(iter([0]), iter([2]), iter([1])) is True
+        assert oracle.calls == 1
+        assert oracle.log == (SeparationQuery(frozenset({0}), frozenset({2}),
+                                              frozenset({1}), True),)
 
     def test_log_disabled_by_default(self, chain3):
         assert GraphicalOracle(chain3).log is None
