@@ -122,7 +122,7 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
     if header != CONNECTOME_HEADER:
         raise GraphError(f"expected header {CONNECTOME_HEADER!r}, got {header!r}")
     chem: dict = {}
-    gap: dict = {}
+    gap: set = set()
     names: set = set()
     for lineno, raw in enumerate(fh, start=2):
         line = raw.strip()
@@ -137,14 +137,13 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
         else:
             if pre == post:
                 continue
-            key = (min(pre, post), max(pre, post))
-            gap[key] = max(gap.get(key, 0), count)
+            gap.add((min(pre, post), max(pre, post)))
     if not names:
         raise GraphError("connectome file has no records")
     labels = sorted(names)
     index = {name: i for i, name in enumerate(labels)}
     directed = [(index[a], index[b]) for (a, b), c in chem.items() if c > threshold]
-    bidirected = [(index[a], index[b]) for (a, b) in gap]
+    bidirected = [(index[a], index[b]) for a, b in sorted(gap)]
     return DirectedMixedGraph(len(labels), directed, bidirected, labels=labels)
 
 

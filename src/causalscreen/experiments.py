@@ -179,8 +179,8 @@ def topk_overlap(truth_deg: Mapping[int, float], out_deg: Mapping[int, float],
     """Overlap of the two top-k node sets, ties broken by node index."""
     if set(truth_deg) != set(out_deg):
         raise ValueError("degree maps must share a key set")
-    if k > len(truth_deg):
-        raise ValueError(f"k={k} exceeds the {len(truth_deg)} nodes")
+    if not 0 <= k <= len(truth_deg):
+        raise ValueError(f"k={k} not in [0, {len(truth_deg)}]")
     return len(_top_k(truth_deg, k) & _top_k(out_deg, k))
 
 

@@ -77,6 +77,19 @@ class ExponentialKernel:
         return self.a * math.exp(-self.b * u) if u >= 0.0 else 0.0
 
 
+def _json_array(value, where: str):
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be an array, got {value!r}")
+    return value
+
+
+def _json_number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class HawkesModel:
     """Baseline rates, kernel matrix (entry [b][a]: influence a -> b), horizon."""
@@ -134,16 +147,19 @@ class HawkesModel:
             horizon = data["T"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model JSON needs keys mu, kernels, T: {exc}") from exc
+        mu = tuple(_json_number(x, f"mu[{i}]") for i, x in enumerate(_json_array(mu, "mu")))
         kernels = []
-        for row in rows:
+        for i, row in enumerate(_json_array(rows, "kernels")):
             parsed = []
-            for entry in row:
-                if entry is None:
-                    parsed.append(ExponentialKernel(0.0, 1.0))
-                else:
-                    parsed.append(ExponentialKernel(float(entry["a"]), float(entry["b"])))
+            for j, entry in enumerate(_json_array(row, f"kernels[{i}]")):
+                try:
+                    a, b = (0.0, 1.0) if entry is None else (float(entry["a"]), float(entry["b"]))
+                except (KeyError, TypeError, ValueError):
+                    raise ValueError(f"kernels[{i}][{j}] must be null or an object with numbers "
+                                     f"a and b, got {entry!r}") from None
+                parsed.append(ExponentialKernel(a, b))
             kernels.append(tuple(parsed))
-        return cls(tuple(float(x) for x in mu), tuple(kernels), float(horizon))
+        return cls(mu, tuple(kernels), _json_number(horizon, "T"))
 
     @classmethod
     def from_json(cls, fh: IO[str]) -> "HawkesModel":
@@ -209,8 +225,11 @@ class EventHistory:
                 continue
             try:
                 node_s, time_s = line.split(",")
-                rows[int(node_s)].append(float(time_s))
-            except (ValueError, IndexError) as exc:
+                node = int(node_s)
+                if not 0 <= node < n:
+                    raise ValueError(f"node {node} not in [0, {n})")
+                rows[node].append(float(time_s))
+            except ValueError as exc:
                 raise ValueError(f"bad event row at line {lineno}: {line!r}") from exc
         for row in rows:
             row.sort()

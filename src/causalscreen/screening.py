@@ -9,33 +9,34 @@ independent); the oracle's call counter is the cost measure.
 
 Building blocks
 ---------------
-* ``trek_step``: for each ordered pair (a, b), test a against b given
-  {b}. Independence here rules out any trek into b from a, so the edge
-  a -> b is deleted. Exactly n(n-1) queries; self-pairs are never tested
-  and loops are never deletion candidates.
-* ``parent_step``: one pass over the ordered pairs that still carry an
-  edge, testing a against b given b's current parents minus a (the loop
-  keeps b itself in the conditioning set). Parent sets are read live from
-  the mutating graph, not from a snapshot.
-* ``ancestry_propagation_cheap``: no queries. Delete b -> c whenever some
-  a has a -> b present, b -> a absent, and a -> c absent: if a reaches b
-  but b cannot reach back and a is no ancestor of c, then b cannot be an
-  ancestor of c either. Conditions are evaluated against the input graph
-  and deletions applied as one batch.
-* ``ancestry_propagation``: the tested variant. For each ordered triple
-  (a, b, c) with an edge between a and b (either direction), b -> c
-  present and a -> c absent, query a against c given the empty set;
-  independence schedules b -> c for the batch deletion. One query per
-  matching triple, repeats included.
+Every pair stage is one loop, ``_screen``: for each ordered pair (a, b)
+still carrying an edge, query a against b given each set of the stage's
+set rule in turn; the first independent answer deletes a -> b and becomes
+its certificate. Self-pairs are never tested; loops are never deleted.
+
+* trek (``trek_step``): {b}. Independence rules out any trek into b from
+  a. Exactly n(n-1) queries.
+* parent (``parent_step``): pa(b) minus a (b's loop keeps b in it), read
+  live from the mutating graph, not from a snapshot.
+* CA: every subset of the observed nodes other than a, by increasing size,
+  lexicographic within a size.
+
+Both ancestry propagations are one triple sweep, ``_propagate``: each
+triple (a, b, c), in lexicographic order, with a front edge between a and
+b, b -> c present and a -> c absent, schedules b -> c for deletion if its
+test passes; deletions are applied as one sorted batch.
+
+* ``ancestry_propagation_cheap``: front edge a -> b with b -> a absent; the
+  test always passes, so no queries. If a reaches b, b cannot reach back
+  and a is no ancestor of c, then b is no ancestor of c either.
+* ``ancestry_propagation``: front edge a -> b or b -> a; the test is one
+  query of a against c given the empty set, repeats included.
 
 Compositions
 ------------
 CS runs trek + parent; CSAPC inserts the cheap propagation between them;
-CSAP inserts the tested propagation instead. CA is the exhaustive
-baseline: per ordered pair, search conditioning sets by increasing
-cardinality (lexicographic within a cardinality) until a separating set
-appears or the candidates are exhausted. TREK_ONLY stops after the trek
-step.
+CSAP inserts the tested propagation instead. CA, the exhaustive
+baseline, runs the CA stage alone. TREK_ONLY stops after the trek step.
 
 The cheap and tested propagation steps assume the oracle is faithful to
 some ground-truth graph (a graphical oracle is); under an unfaithful
@@ -48,7 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations, permutations
 from typing import Optional, Sequence
 
 from .graphs import DirectedMixedGraph, GraphError
@@ -125,13 +126,12 @@ class _Work:
 
 
 def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):
-    pairs = [(a, b) for a in sorted(nodes) for b in sorted(nodes) if a != b]
-    if order == "lex":
-        return pairs
+    pairs = list(permutations(sorted(nodes), 2))
     if order == "random":
         random.Random(seed).shuffle(pairs)
-        return pairs
-    raise ValueError(f"unknown pair order {order!r}")
+    elif order != "lex":
+        raise ValueError(f"unknown pair order {order!r}")
+    return pairs
 
 
 def _labels_for(oracle, nodes) -> Optional[list]:
@@ -147,117 +147,95 @@ def _observed(oracle, observed) -> tuple[int, ...]:
     return tuple(sorted(int(v) for v in observed))
 
 
-# -- subalgorithm stages (operate on _Work, record trace/certificates) -----
+# -- the pair loop and the triple sweep (operate on _Work) -----------------
 
 
-def _trek_stage(oracle, work, pairs, trace, certs):
-    for a, b in pairs:
-        if oracle.query({a}, {b}, {b}):
-            work.remove(a, b)
-            certs[(a, b)] = frozenset({b})
-            trace.append(TraceEntry((a, b), "removed", "trek"))
-        else:
-            trace.append(TraceEntry((a, b), "kept", "trek"))
-
-
-def _parent_stage(oracle, work, pairs, trace, certs):
+def _screen(oracle, work, pairs, stage, sets, trace, certs):
+    """Delete each present a -> b at the first ``given`` in ``sets`` that separates."""
     for a, b in pairs:
         if not work.has(a, b):
             continue
-        given = frozenset(work.parents[b] - {a})
-        if oracle.query({a}, {b}, given):
-            work.remove(a, b)
-            certs[(a, b)] = given
-            trace.append(TraceEntry((a, b), "removed", "parent"))
+        for given in sets(work, a, b):
+            if oracle.query({a}, {b}, given):
+                work.remove(a, b)
+                certs[(a, b)] = frozenset(given)
+                trace.append(TraceEntry((a, b), "removed", stage))
+                break
         else:
-            trace.append(TraceEntry((a, b), "kept", "parent"))
+            trace.append(TraceEntry((a, b), "kept", stage))
 
 
-def _cheap_ancestry_stage(work, trace):
+def _trek_sets(work, a, b):
+    return ((b,),)
+
+
+def _parent_sets(work, a, b):
+    return (frozenset(work.parents[b] - {a}),)
+
+
+def _ca_sets(work, a, b):
+    rest = [v for v in work.nodes if v != a]
+    return chain.from_iterable(combinations(rest, k) for k in range(len(rest) + 1))
+
+
+def _propagate(work, trace, front, test):
+    """Batch-delete b -> c for each triple (a, b, c) passing ``front`` and ``test``."""
     doomed = set()
     nodes = work.nodes
     for a in nodes:
         for b in nodes:
-            if b == a or not work.has(a, b) or work.has(b, a):
+            if b == a or not front(work, a, b):
                 continue
             for c in nodes:
                 if c in (a, b) or not work.has(b, c) or work.has(a, c):
                     continue
-                doomed.add((b, c))
-    for b, c in sorted(doomed):
-        work.remove(b, c)
-        trace.append(TraceEntry((b, c), "removed", "ancestry"))
-
-
-def _tested_ancestry_stage(oracle, work, trace):
-    doomed = set()
-    nodes = work.nodes
-    for a in nodes:
-        for b in nodes:
-            if b == a or not (work.has(a, b) or work.has(b, a)):
-                continue
-            for c in nodes:
-                if c in (a, b) or not work.has(b, c) or work.has(a, c):
-                    continue
-                if oracle.query({a}, {c}, ()):
+                if test(a, c):
                     doomed.add((b, c))
     for b, c in sorted(doomed):
         work.remove(b, c)
         trace.append(TraceEntry((b, c), "removed", "ancestry"))
 
 
-def _ca_stage(oracle, work, pairs, trace, certs):
-    obs = set(work.nodes)
-    for a, b in pairs:
-        candidates = sorted(obs - {a})
-        removed = False
-        for k in range(len(candidates) + 1):
-            for given in combinations(candidates, k):
-                if oracle.query({a}, {b}, given):
-                    work.remove(a, b)
-                    certs[(a, b)] = frozenset(given)
-                    trace.append(TraceEntry((a, b), "removed", "ca"))
-                    removed = True
-                    break
-            if removed:
-                break
-        if not removed:
-            trace.append(TraceEntry((a, b), "kept", "ca"))
+def _one_way(work, a, b):
+    return work.has(a, b) and not work.has(b, a)
+
+
+def _either_way(work, a, b):
+    return work.has(a, b) or work.has(b, a)
 
 
 # -- public single-step operations -----------------------------------------
 
 
-def trek_step(oracle, observed=None, *, order: str = "lex", seed: int = 0) -> DirectedMixedGraph:
+def trek_step(oracle, observed=None) -> DirectedMixedGraph:
     """Screen the complete graph down to pairs with a trek into the target.
 
     Uses exactly n(n-1) oracle calls for n observed nodes.
     """
     obs = _observed(oracle, observed)
     work = _Work(obs)
-    _trek_stage(oracle, work, _ordered_pairs(obs, order, seed), [], {})
+    _screen(oracle, work, _ordered_pairs(obs, "lex", 0), "trek", _trek_sets, [], {})
     return work.freeze(_labels_for(oracle, obs))
 
 
-def parent_step(oracle, dg: DirectedMixedGraph, *, order: str = "lex",
-                seed: int = 0) -> DirectedMixedGraph:
+def parent_step(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """One live pass of parent-set tests over the present edges of ``dg``."""
     work = _Work.from_graph(dg)
-    _parent_stage(oracle, work, _ordered_pairs(work.nodes, order, seed), [], {})
+    _screen(oracle, work, _ordered_pairs(work.nodes, "lex", 0), "parent", _parent_sets, [], {})
     return work.freeze(dg.labels())
 
 
 def ancestry_propagation_cheap(dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """Query-free batch deletion of edges contradicted by ancestry patterns."""
     work = _Work.from_graph(dg)
-    _cheap_ancestry_stage(work, [])
+    _propagate(work, [], _one_way, lambda a, c: True)
     return work.freeze(dg.labels())
 
 
 def ancestry_propagation(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """Batch deletion driven by marginal-independence queries on triples."""
     work = _Work.from_graph(dg)
-    _tested_ancestry_stage(oracle, work, [])
+    _propagate(work, [], _either_way, lambda a, c: oracle.query({a}, {c}, ()))
     return work.freeze(dg.labels())
 
 
@@ -287,15 +265,15 @@ def run(algorithm, oracle, observed=None, *, order: str = "lex",
     calls_before = oracle.calls
 
     if algorithm is Algorithm.CA:
-        _ca_stage(oracle, work, pairs, trace, certs)
+        _screen(oracle, work, pairs, "ca", _ca_sets, trace, certs)
     else:
-        _trek_stage(oracle, work, pairs, trace, certs)
+        _screen(oracle, work, pairs, "trek", _trek_sets, trace, certs)
         if algorithm is Algorithm.CSAPC:
-            _cheap_ancestry_stage(work, trace)
+            _propagate(work, trace, _one_way, lambda a, c: True)
         elif algorithm is Algorithm.CSAP:
-            _tested_ancestry_stage(oracle, work, trace)
+            _propagate(work, trace, _either_way, lambda a, c: oracle.query({a}, {c}, ()))
         if algorithm is not Algorithm.TREK_ONLY:
-            _parent_stage(oracle, work, pairs, trace, certs)
+            _screen(oracle, work, pairs, "parent", _parent_sets, trace, certs)
 
     return LearnResult(
         graph=work.freeze(_labels_for(oracle, obs)),

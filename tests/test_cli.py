@@ -271,6 +271,24 @@ class TestFailuresEndAsErrors:
         assert rc == 2
         assert "error: model is not stationary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch, message", [
+        ({"kernels": [[5]]}, "kernels[0][0] must be null or an object with numbers a and b"),
+        ({"kernels": [[{"a": 1}]]}, "kernels[0][0] must be null or an object with numbers a and b"),
+        ({"mu": 5}, "mu must be an array"),
+        ({"kernels": [5]}, "kernels[0] must be an array"),
+    ])
+    def test_malformed_model(self, tmp_path, capsys, patch, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mu": [0.5], "kernels": [[None]], "T": 10.0, **patch}))
+        rc = main(["simulate", "--model", str(path)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_negative_topk(self, synapse_file, capsys):
+        rc = main(["connectome", "--file", synapse_file, "--sample", "3", "--topk", "-1"])
+        assert rc == 2
+        assert "error: k=-1 not in [0, 3]" in capsys.readouterr().err
+
     def test_event_cap(self, model_file, capsys):
         rc = main(["simulate", "--model", model_file, "--max-events", "1"])
         assert rc == 2

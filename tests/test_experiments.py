@@ -141,6 +141,9 @@ class TestMetrics:
     def test_topk_validation(self):
         with pytest.raises(ValueError):
             topk_overlap({0: 1}, {1: 1}, 1)
+        with pytest.raises(ValueError, match=r"k=-1 not in \[0, 2\]"):
+            topk_overlap({0: 1, 1: 0}, {0: 1, 1: 0}, -1)
+        assert topk_overlap({0: 1, 1: 0}, {0: 1, 1: 0}, 0) == 0
 
 
 class TestBenchRun:

@@ -83,6 +83,22 @@ class TestKernelsAndModel:
         m = HawkesModel.from_json_dict(d)
         assert m.kernels[0][0].a == 0.0
 
+    @pytest.mark.parametrize("patch, message", [
+        ({"kernels": [[5]]}, "kernels[0][0] must be null or an object with numbers a and b"),
+        ({"kernels": [[{"a": 1}]]}, "kernels[0][0] must be null or an object with numbers a and b"),
+        ({"kernels": [[{"a": "x", "b": 1}]]}, "kernels[0][0] must be null or an object with numbers a and b"),
+        ({"kernels": [5]}, "kernels[0] must be an array"),
+        ({"kernels": 5}, "kernels must be an array"),
+        ({"mu": 5}, "mu must be an array"),
+        ({"mu": [None]}, "mu[0] must be a number"),
+        ({"T": [5]}, "T must be a number"),
+    ])
+    def test_malformed_json_names_the_bad_part(self, patch, message):
+        d = {"mu": [1.0], "kernels": [[None]], "T": 5.0, **patch}
+        with pytest.raises(ValueError) as info:
+            HawkesModel.from_json_dict(d)
+        assert str(info.value).startswith(message)
+
 
 class TestCausalGraph:
     def test_edges_follow_amplitudes(self):
@@ -125,6 +141,12 @@ class TestEventHistory:
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):
             EventHistory.from_csv(io.StringIO("nope\n"), n=1, horizon=5.0)
+
+    @pytest.mark.parametrize("node", ["-1", "2"])
+    def test_csv_node_ids_checked(self, node):
+        text = f"node,time\n0,0.25\n{node},0.5\n"
+        with pytest.raises(ValueError, match="bad event row at line 3"):
+            EventHistory.from_csv(io.StringIO(text), n=2, horizon=5.0)
 
 
 class TestIntensity:
