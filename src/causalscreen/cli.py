@@ -30,7 +30,7 @@ from .experiments import (
     write_metrics_csv,
 )
 from .graphs import DirectedMixedGraph, GraphError
-from .hawkes import HawkesModel, Intervention, SimulationError, simulate, simulate_intervened
+from .hawkes import HawkesModel, Intervention, SimulationError, simulate_intervened
 from .screening import Algorithm, run
 from .separation import GraphicalOracle
 
@@ -135,11 +135,8 @@ def _cmd_simulate(ns) -> int:
     with open(ns.model) as fh:
         model = HawkesModel.from_json(fh)
     interventions = [_parse_intervention(raw) for raw in ns.intervene]
-    if interventions:
-        history = simulate_intervened(model, interventions, ns.seed,
-                                      force=ns.force, max_events=ns.max_events)
-    else:
-        history = simulate(model, ns.seed, force=ns.force, max_events=ns.max_events)
+    history = simulate_intervened(model, interventions, ns.seed,
+                                  force=ns.force, max_events=ns.max_events)
     with _out(ns.out) as fh:
         if ns.format == "json":
             _dump_json({"T": model.horizon,

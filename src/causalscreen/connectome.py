@@ -203,6 +203,8 @@ def run_connectome(fh: IO[str], spec: ConnectomeSpec, algorithm, seed: int, *,
     graph. k is clamped to the sample size.
     """
     algorithm = Algorithm(algorithm)
+    if topk < 0:
+        raise ValueError(f"topk must be >= 0, got {topk}")
     truth_dmg = ingest_connectome(fh, spec.threshold)
     sample = subsample(truth_dmg, min(spec.sample, truth_dmg.n), seed,
                        weight_exponent=spec.weight_exponent)

@@ -317,10 +317,11 @@ class DirectedMixedGraph:
 
 
 def _check_subset(g: DirectedMixedGraph, vs: Iterable[int]) -> frozenset:
-    vs = frozenset(int(v) for v in vs)
+    vs = frozenset(vs)
     unknown = vs - g.node_set
     if unknown:
-        raise GraphError(f"unknown nodes {sorted(unknown)}")
+        # repr order: a non-id need not compare with the others
+        raise GraphError(f"unknown nodes {sorted(unknown, key=repr)}")
     return vs
 
 

@@ -84,10 +84,10 @@ def _json_array(value, where: str):
 
 
 def _json_number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} must be a number, got {value!r}") from None
+    # bool is an int subclass, but JSON true is not a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ class HawkesModel:
             parsed = []
             for j, entry in enumerate(_json_array(row, f"kernels[{i}]")):
                 try:
-                    a, b = (0.0, 1.0) if entry is None else (float(entry["a"]), float(entry["b"]))
+                    a, b = (0.0, 1.0) if entry is None else (
+                        _json_number(entry["a"], "a"), _json_number(entry["b"], "b"))
                 except (KeyError, TypeError, ValueError):
                     raise ValueError(f"kernels[{i}][{j}] must be null or an object with numbers "
                                      f"a and b, got {entry!r}") from None
@@ -180,6 +181,8 @@ class EventHistory:
         rows = []
         for seq in self.times:
             row = tuple(float(t) for t in seq)
+            if not all(map(math.isfinite, row)):
+                raise ValueError("event times must be finite")
             for prev, cur in zip(row, row[1:]):
                 if not cur > prev:
                     raise ValueError("event times must be strictly increasing per node")
@@ -244,6 +247,8 @@ class Intervention:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.times)
+        if not all(map(math.isfinite, ts)):
+            raise ValueError("intervention times must be finite")
         for prev, cur in zip(ts, ts[1:]):
             if not cur > prev:
                 raise ValueError("intervention times must be strictly increasing")

@@ -144,7 +144,7 @@ def _labels_for(oracle, nodes) -> Optional[list]:
 def _observed(oracle, observed) -> tuple[int, ...]:
     if observed is None:
         observed = oracle.observed
-    return tuple(sorted(int(v) for v in observed))
+    return tuple(sorted(observed))
 
 
 # -- the pair loop and the triple sweep (operate on _Work) -----------------

@@ -25,7 +25,11 @@ reverse).
 The search runs over (node, arrival-mark) states, which is sound because
 the walk constraints at an occurrence depend only on that state and the
 chosen departure. Each graph is compiled once into an int-state form (see
-``_Compiled``) that every later query reuses. ``brute_force_mu_separated``
+``_Compiled``) that every later query reuses. A query's node ids become
+search states by one lookup in that form's index, and the lookup is the
+query's validation: an id is valid exactly when it is a key there, so ints
+and numpy ints pass and ``1.5`` or ``"1"`` raise :class:`GraphError`.
+``brute_force_mu_separated``
 rechecks the definition at the walk level for small graphs and exists to
 cross-validate the search.
 """
@@ -35,9 +39,9 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, TextIO
 
-from .graphs import DirectedMixedGraph, GraphError, ancestors, latent_projection
+from .graphs import DirectedMixedGraph, GraphError, _check_subset, ancestors, latent_projection
 
 __all__ = [
     "HEAD",
@@ -77,19 +81,6 @@ def _moves(g: DirectedMixedGraph):
     table = {v: tuple(ms) for v, ms in table.items()}
     g._cache["moves"] = table
     return table
-
-
-def _query_sets(g, sources, targets, given):
-    a = frozenset(map(int, sources))
-    b = frozenset(map(int, targets))
-    c = frozenset(map(int, given))
-    if not a or not b:
-        raise GraphError("source and target sets must be nonempty")
-    for s in (a, b, c):
-        unknown = s - g.node_set
-        if unknown:
-            raise GraphError(f"unknown nodes {sorted(unknown)}")
-    return a, b, c
 
 
 class _Compiled:
@@ -166,26 +157,32 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     >>> mu_separated(g, {0}, {2})
     False
     """
-    a, b, c = _query_sets(g, sources, targets, given)
-    starts = a - c
-    if not starts:
-        return True
     form = _compiled(g)
     index = form.index
+    try:
+        a = {index[v] for v in sources}
+        b = {index[v] for v in targets}
+        cs = {index[v] for v in given}
+    except KeyError as exc:
+        raise GraphError(f"unknown nodes {[exc.args[0]]}") from None
+    if not a or not b:
+        raise GraphError("source and target sets must be nonempty")
+    starts = a - cs
+    if not starts:
+        return True
     head_out, tail_out, all_out = form.head_out, form.tail_out, form.all_out
-    cs = {index[v] for v in c}
     masks = form.anc
     anc = 0
     for i in cs:
         anc |= masks[i] or form.ancestor_mask(i)
 
     seen = bytearray(2 * len(index))
-    for v in b:
-        seen[2 * index[v] + HEAD] = _TARGET
+    for i in b:
+        seen[2 * i + HEAD] = _TARGET
     # A source departs freely, as from a tail arrival outside C.
     queue = deque()
-    for v in starts:
-        s = 2 * index[v] + TAIL
+    for i in starts:
+        s = 2 * i + TAIL
         seen[s] = 1
         queue.append(s)
     push, pop = queue.append, queue.popleft
@@ -222,7 +219,7 @@ def walk_is_mu_connecting(g: DirectedMixedGraph, walk, given: Iterable[int] = ()
     ``v <-> w``. Intended for tests and diagnostics; the walk list is the
     definition made concrete.
     """
-    c = frozenset(int(x) for x in given)
+    c = frozenset(given)
     steps = list(walk)
     if not steps:
         return False
@@ -261,7 +258,7 @@ def walk_is_mu_connecting(g: DirectedMixedGraph, walk, given: Iterable[int] = ()
 
 
 def _bf_connecting_targets(g: DirectedMixedGraph, source: int,
-                           given: frozenset, stop: Optional[frozenset] = None) -> frozenset:
+                           given: frozenset, stop: frozenset) -> frozenset:
     """Targets reachable from ``source`` by a connecting walk, exhaustively.
 
     Depth-first enumeration of all walks whose (node, arrival-mark) states
@@ -276,10 +273,9 @@ def _bf_connecting_targets(g: DirectedMixedGraph, source: int,
     moves = _moves(g)
     anc = ancestors(g, given)
     found = set()
-    want = stop if stop is not None else g.node_set
 
     def rec(v, mark, used):
-        if found >= want:
+        if found >= stop:
             return
         for dm, w, am in moves[v]:
             if mark == HEAD and dm == HEAD:
@@ -299,7 +295,7 @@ def _bf_connecting_targets(g: DirectedMixedGraph, source: int,
     for _, w, am in moves[source]:
         if am == HEAD:
             found.add(w)
-        if found >= want:
+        if found >= stop:
             break
         rec(w, am, {(w, am)})
     return frozenset(found)
@@ -315,7 +311,9 @@ def brute_force_mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     if g.n > max_nodes:
         raise GraphError(
             f"brute force capped at {max_nodes} nodes, graph has {g.n}")
-    a, b, c = _query_sets(g, sources, targets, given)
+    a, b, c = (_check_subset(g, s) for s in (sources, targets, given))
+    if not a or not b:
+        raise GraphError("source and target sets must be nonempty")
     for v in sorted(a - c):
         if _bf_connecting_targets(g, v, c, stop=b) & b:
             return False
@@ -386,7 +384,7 @@ class GraphicalOracle:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
         if self._log is not None:
             # freeze once, so one-shot iterators reach both search and log
-            sources, targets, given = (frozenset(map(int, s)) for s in (sources, targets, given))
+            sources, targets, given = (frozenset(s) for s in (sources, targets, given))
         answer = mu_separated(self._graph, sources, targets, given)
         with self._lock:
             self._calls += 1

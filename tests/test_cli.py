@@ -158,9 +158,10 @@ class TestSimulate:
         assert payload["times"][1] == []
 
     def test_bad_intervention_spec(self, model_file, capsys):
-        rc = main(["simulate", "--model", model_file, "--intervene", "0@oops"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        for spec in ("0@oops", "0@nan", "0@1,inf"):
+            rc = main(["simulate", "--model", model_file, "--intervene", spec])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err
 
 
 class TestBench:
@@ -276,6 +277,7 @@ class TestFailuresEndAsErrors:
         ({"kernels": [[{"a": 1}]]}, "kernels[0][0] must be null or an object with numbers a and b"),
         ({"mu": 5}, "mu must be an array"),
         ({"kernels": [5]}, "kernels[0] must be an array"),
+        ({"T": "10"}, "T must be a number"),
     ])
     def test_malformed_model(self, tmp_path, capsys, patch, message):
         path = tmp_path / "model.json"
@@ -287,7 +289,7 @@ class TestFailuresEndAsErrors:
     def test_negative_topk(self, synapse_file, capsys):
         rc = main(["connectome", "--file", synapse_file, "--sample", "3", "--topk", "-1"])
         assert rc == 2
-        assert "error: k=-1 not in [0, 3]" in capsys.readouterr().err
+        assert "error: topk must be >= 0, got -1" in capsys.readouterr().err
 
     def test_event_cap(self, model_file, capsys):
         rc = main(["simulate", "--model", model_file, "--max-events", "1"])

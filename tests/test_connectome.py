@@ -138,6 +138,11 @@ class TestPipeline:
         res = run_connectome(io.StringIO(ring_csv()), spec, "cs", 2)
         assert len(res.observed) == 8
 
+    def test_negative_topk_fails_before_ingest(self):
+        spec = ConnectomeSpec(threshold=4, sample=3)
+        with pytest.raises(ValueError, match="topk must be >= 0, got -1"):
+            run_connectome(io.StringIO("bad,header\n"), spec, "cs", 0, topk=-1)
+
     def test_output_always_covers_truth(self):
         # excess >= 0 by construction; a missing true edge raises inside
         spec = ConnectomeSpec(threshold=4, sample=4)

@@ -92,6 +92,16 @@ class TestKernelsAndModel:
         ({"mu": 5}, "mu must be an array"),
         ({"mu": [None]}, "mu[0] must be a number"),
         ({"T": [5]}, "T must be a number"),
+        ({"mu": [True]}, "mu[0] must be a number"),
+        ({"mu": ["0.5"]}, "mu[0] must be a number"),
+        ({"kernels": [[{"a": True, "b": 2}]]}, "kernels[0][0] must be null or an object with numbers a and b"),
+        ({"kernels": [[{"a": 1, "b": "2"}]]}, "kernels[0][0] must be null or an object with numbers a and b"),
+        ({"T": "10"}, "T must be a number"),
+        ({"T": True}, "T must be a number"),
+        ({"mu": [1.0, "0.5"], "kernels": [[None, {"a": 1.0, "b": "2"}], [None, None]]},
+         "mu[1] must be a number"),
+        ({"mu": [True, "0.5"], "kernels": [[None, {"a": True, "b": "2"}], [None, None]], "T": "10"},
+         "mu[0] must be a number"),
     ])
     def test_malformed_json_names_the_bad_part(self, patch, message):
         d = {"mu": [1.0], "kernels": [[None]], "T": 5.0, **patch}
@@ -120,9 +130,12 @@ class TestCausalGraph:
 
 class TestEventHistory:
     def test_validation(self):
-        for times in (((2.0, 1.0),), ((1.0, 1.0),), ((6.0,),), ((-1.0,),)):
+        for times in (((2.0, 1.0),), ((1.0, 1.0),), ((6.0,),), ((-1.0,),),
+                      ((math.nan,),), ((math.inf,),), ((1.0,), (math.nan,))):
             with pytest.raises(ValueError):
                 EventHistory(times, 5.0)
+        with pytest.raises(ValueError, match="event times must be finite"):
+            EventHistory.from_csv(io.StringIO("node,time\n0,nan\n"), n=1, horizon=5.0)
 
     def test_merge_and_counts(self):
         h = EventHistory(((0.5, 2.0), (1.0,)), 10.0)
@@ -295,6 +308,9 @@ class TestInterventions:
         m = two_node_model()
         with pytest.raises(ValueError):
             Intervention(0, (3.0, 1.0))
+        for times in ((math.nan,), (1.0, math.inf), (-math.inf,)):
+            with pytest.raises(ValueError, match="intervention times must be finite"):
+                Intervention(0, times)
         with pytest.raises(ValueError):
             simulate_intervened(m, [Intervention(0, ()), Intervention(0, ())], 1)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 import io
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,12 +55,21 @@ class TestMuSeparated:
         assert not mu_separated(g, {0}, {1}, {3})
 
     def test_validation(self, chain3):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="must be nonempty"):
             mu_separated(chain3, (), {1})
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="must be nonempty"):
             mu_separated(chain3, {0}, ())
-        with pytest.raises(GraphError):
-            mu_separated(chain3, {0}, {9})
+        # an id is valid only as a node of the graph: nothing is coerced
+        for args in (({0}, {9}), ({9}, {1}), ({0}, {2}, {9}), ({0}, {1.5}),
+                     ({"1"}, {2}), ({0}, {2}, {"1"}), ({0}, {2}, {1.5})):
+            with pytest.raises(GraphError, match="unknown nodes"):
+                mu_separated(chain3, *args)
+        # numpy ints and one-shot iterators answer as the equal sets do
+        for a, b, c in (({0}, {2}, {1}), ({0}, {2}, ()), ({2}, {0}, {1})):
+            want = mu_separated(chain3, a, b, c)
+            assert mu_separated(chain3, map(np.int64, a), map(np.int64, b),
+                                map(np.int64, c)) == want
+            assert mu_separated(chain3, iter(a), iter(b), iter(c)) == want
 
     @given(graph_strategy(max_n=5), st.data())
     def test_sources_subset_of_given_always_separated(self, g, data):
@@ -147,10 +157,13 @@ class TestOracle:
         assert oracle.calls == 2
 
     def test_invalid_query_does_not_count(self, chain3):
-        oracle = GraphicalOracle(chain3, observed=(0, 1))
-        with pytest.raises(GraphError):
-            oracle.query({0}, {2}, ())
-        assert oracle.calls == 0
+        # a non-id fails the same way whether or not the log freezes it first
+        for keep_log in (False, True):
+            oracle = GraphicalOracle(chain3, observed=(0, 1), keep_log=keep_log)
+            for args in (({0}, {2}, ()), ({0}, {"1"}, ()), ({0}, {1}, {1.5})):
+                with pytest.raises(GraphError, match="unknown nodes"):
+                    oracle.query(*args)
+            assert oracle.calls == 0
 
     def test_empty_query_does_not_count(self, chain3):
         oracle = GraphicalOracle(chain3)
@@ -160,8 +173,9 @@ class TestOracle:
         assert oracle.calls == 0
 
     def test_observed_validation(self, chain3):
-        with pytest.raises(GraphError):
-            GraphicalOracle(chain3, observed=(0, 9))
+        for observed in ((0, 9), (0, 1.5), (0, "1")):
+            with pytest.raises(GraphError, match="unknown nodes"):
+                GraphicalOracle(chain3, observed=observed)
 
     def test_log_records_queries(self, chain3):
         oracle = GraphicalOracle(chain3, keep_log=True)
