@@ -17,6 +17,14 @@ is the thinning envelope. Randomness comes from one PCG64 stream per run,
 consumed in a fixed documented order (see :func:`simulate`), so equal
 seeds give identical histories on any platform.
 
+The sampler keeps its excitation state only on the kernel support (the
+nonzero amplitudes): each step decays and multiplies those entries alone.
+The intensity is still the sum of dense rows, taken over a buffer that
+holds the products on the support and 0.0 elsewhere. That dense row sum
+adds the same floats in the same order as ``(A * S).sum(axis=1)`` over the
+full n x n state, so every event time is the one, to the byte, that a
+sampler keeping the full state would draw.
+
 Hard interventions replace a node's point process with a deterministic
 list of event times: the node's own intensity is ignored, but its forced
 events still excite the rest of the network through the usual kernels.
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence, Union
@@ -83,11 +92,28 @@ def _json_array(value, where: str):
     return value
 
 
-def _json_number(value, where: str) -> float:
+def _is_json_number(value) -> bool:
     # bool is an int subclass, but JSON true is not a number
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_number(value, where: str) -> float:
+    if not _is_json_number(value):
         raise ValueError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:   # a JSON integer beyond the float range
+        raise ValueError(f"{where} is too large for a float") from None
+
+
+def _node_index(node) -> int:
+    """A node id as an int: ints and numpy integers pass, bools and floats do not."""
+    if not isinstance(node, bool):
+        try:
+            return operator.index(node)
+        except TypeError:
+            pass
+    raise ValueError(f"node must be an integer, got {node!r}")
 
 
 @dataclass(frozen=True)
@@ -152,12 +178,14 @@ class HawkesModel:
         for i, row in enumerate(_json_array(rows, "kernels")):
             parsed = []
             for j, entry in enumerate(_json_array(row, f"kernels[{i}]")):
-                try:
-                    a, b = (0.0, 1.0) if entry is None else (
-                        _json_number(entry["a"], "a"), _json_number(entry["b"], "b"))
-                except (KeyError, TypeError, ValueError):
-                    raise ValueError(f"kernels[{i}][{j}] must be null or an object with numbers "
-                                     f"a and b, got {entry!r}") from None
+                where = f"kernels[{i}][{j}]"
+                if entry is None:
+                    a, b = 0.0, 1.0
+                elif isinstance(entry, dict) and all(_is_json_number(entry.get(k)) for k in "ab"):
+                    a, b = (_json_number(entry[k], f"{where}.{k}") for k in "ab")
+                else:
+                    raise ValueError(f"{where} must be null or an object with numbers "
+                                     f"a and b, got {entry!r}")
                 parsed.append(ExponentialKernel(a, b))
             kernels.append(tuple(parsed))
         return cls(mu, tuple(kernels), _json_number(horizon, "T"))
@@ -254,7 +282,7 @@ class Intervention:
                 raise ValueError("intervention times must be strictly increasing")
         if ts and ts[0] < 0.0:
             raise ValueError("intervention times must be >= 0")
-        object.__setattr__(self, "node", int(self.node))
+        object.__setattr__(self, "node", _node_index(self.node))
         object.__setattr__(self, "times", ts)
 
 
@@ -340,50 +368,81 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
 
     rng = np.random.Generator(np.random.PCG64(seed))
     events: list = [[] for _ in range(n)]
-    # S[b, a] carries sum(exp(-B[b,a] * (t - s))) over all events s <= t of
-    # node a; decayed lazily when t advances.
-    S = np.zeros((n, n))
+    # The excitation state is kept only on the kernel support: s[k] carries
+    # sum(exp(-B[b,a] * (t - s))) over all events s <= t of node a, where
+    # [b, a] is the k-th nonzero amplitude in row-major order; decayed
+    # lazily when t advances. Off the support A * S is zero whatever S holds.
+    support = np.flatnonzero(A)
+    a_nz = A.ravel()[support]
+    neg_b = -B.ravel()[support]
+    by_source = [np.flatnonzero(support % n == v) for v in range(n)]
+    s = np.zeros(support.size)
+    buf = np.empty(support.size)
+    # A * S is scattered into a dense buffer whose other entries stay 0.0,
+    # and the intensity sums its dense rows: the same floats added in the
+    # same order as (A * S).sum(axis=1), so every event keeps its bytes.
+    AS = np.zeros((n, n))
+    AS_flat = AS.reshape(-1)
+    rowsum = np.empty(n)
+    lam = np.empty(n)
+    cum = np.empty(n)
+    inactive = np.flatnonzero(~active)
+    multiply, exp, add, add_reduce = np.multiply, np.exp, np.add, np.add.reduce
+    random = rng.random
     t = 0.0
     fi = 0
     total = 0
 
+    def advance(to: float) -> None:
+        """Move the clock to ``to``, decaying the state on the way."""
+        nonlocal t
+        multiply(neg_b, to - t, out=buf)
+        exp(buf, out=buf)
+        multiply(s, buf, out=s)
+        t = to
+
+    def total_intensity() -> float:
+        """Fill ``lam`` with the intensity just after t; return its sum."""
+        multiply(a_nz, s, out=buf)
+        AS_flat[support] = buf
+        add_reduce(AS, axis=1, out=rowsum)
+        add(mu, rowsum, out=lam)
+        lam[inactive] = 0.0
+        return float(add_reduce(lam))
+
     def record(node: int, at: float) -> None:
         nonlocal total
-        S[:, node] += 1.0
+        s[by_source[node]] += 1.0
         events[node].append(at)
         total += 1
         if total > max_events:
             raise SimulationError(f"event cap {max_events} exceeded; model exploding?")
 
     while True:
-        lam_right = np.where(active, mu + (A * S).sum(axis=1), 0.0)
-        lbar = float(lam_right.sum())
+        lbar = total_intensity()
 
         # Draw order per candidate: candidate-time draw (none while the
         # envelope is zero, which leaves only forced events), then (if the
         # candidate is within the horizon and not preempted by a forced
         # event) acceptance draw, then (if accepted) node-selection draw.
-        t_cand = t - math.log1p(-rng.random()) / lbar if lbar > 0.0 else math.inf
+        t_cand = t - math.log1p(-random()) / lbar if lbar > 0.0 else math.inf
         if fi < len(forced) and forced[fi][0] <= t_cand:
             # Forced event preempts the candidate; its time draw is discarded.
             tf, nf = forced[fi]
-            S *= np.exp(-B * (tf - t))
-            t = tf
+            advance(tf)
             fi += 1
             record(nf, tf)
             continue
         if t_cand > T:
             break
 
-        S *= np.exp(-B * (t_cand - t))
-        t = t_cand
-        lam = np.where(active, mu + (A * S).sum(axis=1), 0.0)
-        ltot = float(lam.sum())
-        u_accept = rng.random()
+        advance(t_cand)
+        ltot = total_intensity()
+        u_accept = random()
         if u_accept * lbar <= ltot:
-            u_node = rng.random()
-            cum = np.cumsum(lam)
-            node = int(np.searchsorted(cum, u_node * ltot, side="right"))
+            u_node = random()
+            add.accumulate(lam, out=cum)
+            node = int(cum.searchsorted(u_node * ltot, side="right"))
             node = min(node, n - 1)
             record(node, t_cand)
 
@@ -445,6 +504,16 @@ def _decayed_sums(query_ts: Sequence[float], src_ts: Sequence[float],
     return counts, sums
 
 
+def _history_node(model: HawkesModel, history: EventHistory, node) -> int:
+    """Check that history and node fit the model; returns the node as an int."""
+    node = _node_index(node)
+    if not 0 <= node < model.n:
+        raise ValueError(f"unknown node {node}")
+    if history.n != model.n:
+        raise ValueError("history and model disagree on node count")
+    return node
+
+
 def compensator(model: HawkesModel, history: EventHistory, node: int,
                 times: Sequence[float]) -> np.ndarray:
     """Integrated intensity of ``node`` at each of the given ascending times.
@@ -452,10 +521,7 @@ def compensator(model: HawkesModel, history: EventHistory, node: int,
     Each event of node a at time s < t contributes (a_ba / b_ba) *
     (1 - exp(-b_ba (t - s))) to the integral from 0 to t.
     """
-    if not 0 <= int(node) < model.n:
-        raise ValueError(f"unknown node {node}")
-    if history.n != model.n:
-        raise ValueError("history and model disagree on node count")
+    node = _history_node(model, history, node)
     ts = [float(t) for t in times]
     for prev, cur in zip(ts, ts[1:]):
         if cur < prev:
@@ -478,6 +544,7 @@ def rescaled_intervals(model: HawkesModel, history: EventHistory,
     (time-rescaling), which makes them a goodness-of-fit statistic for
     the sampler.
     """
+    node = _history_node(model, history, node)
     ts = history.times[node]
     if not ts:
         return np.empty(0)

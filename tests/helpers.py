@@ -6,14 +6,23 @@ incremental bookkeeping), so agreement is meaningful.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import chain, combinations
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
 from causalscreen import DirectedMixedGraph, ancestors
 from causalscreen.experiments import CorpusConfig, random_dmg
+from causalscreen.hawkes import (
+    EventHistory,
+    HawkesModel,
+    Intervention,
+    SimulationError,
+    stationarity_check,
+)
 
 HEAD, TAIL = 1, 0
 
@@ -208,3 +217,88 @@ def sparse_dmg(draw, max_n=30):
         [(ids[t], ids[h]) for t, h in directed],
         [(ids[x], ids[y]) for x, y in bidirected if x != y],
     )
+
+
+def reference_thinning(model: HawkesModel, interventions: Sequence[Intervention],
+                        seed: int, force: bool, max_events: int) -> EventHistory:
+    """Dense Ogata thinning, as the simulator did it before its state was packed.
+
+    Every candidate decays and multiplies the full n x n excitation state;
+    ``hawkes._thinning`` must produce the same bytes and the same errors.
+    """
+    n = model.n
+    T = model.horizon
+    A, B = model.matrices()
+    mu = np.array(model.mu, dtype=float)
+
+    active = np.ones(n, dtype=bool)
+    forced: list = []
+    for iv in interventions:
+        if not 0 <= iv.node < n:
+            raise ValueError(f"intervention targets unknown node {iv.node}")
+        if not active[iv.node]:
+            raise ValueError(f"node {iv.node} intervened twice")
+        if iv.times and iv.times[-1] > T:
+            raise ValueError("intervention times must lie within the horizon")
+        active[iv.node] = False
+        forced.extend((t, iv.node) for t in iv.times)
+    forced.sort()
+
+    if not force:
+        stable, rho = stationarity_check(model)
+        if not stable:
+            raise SimulationError(
+                f"model is not stationary (spectral radius {rho:.6g}); "
+                "pass force=True to simulate anyway"
+            )
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    events: list = [[] for _ in range(n)]
+    # S[b, a] carries sum(exp(-B[b,a] * (t - s))) over all events s <= t of
+    # node a; decayed lazily when t advances.
+    S = np.zeros((n, n))
+    t = 0.0
+    fi = 0
+    total = 0
+
+    def record(node: int, at: float) -> None:
+        nonlocal total
+        S[:, node] += 1.0
+        events[node].append(at)
+        total += 1
+        if total > max_events:
+            raise SimulationError(f"event cap {max_events} exceeded; model exploding?")
+
+    while True:
+        lam_right = np.where(active, mu + (A * S).sum(axis=1), 0.0)
+        lbar = float(lam_right.sum())
+
+        # Draw order per candidate: candidate-time draw (none while the
+        # envelope is zero, which leaves only forced events), then (if the
+        # candidate is within the horizon and not preempted by a forced
+        # event) acceptance draw, then (if accepted) node-selection draw.
+        t_cand = t - math.log1p(-rng.random()) / lbar if lbar > 0.0 else math.inf
+        if fi < len(forced) and forced[fi][0] <= t_cand:
+            # Forced event preempts the candidate; its time draw is discarded.
+            tf, nf = forced[fi]
+            S *= np.exp(-B * (tf - t))
+            t = tf
+            fi += 1
+            record(nf, tf)
+            continue
+        if t_cand > T:
+            break
+
+        S *= np.exp(-B * (t_cand - t))
+        t = t_cand
+        lam = np.where(active, mu + (A * S).sum(axis=1), 0.0)
+        ltot = float(lam.sum())
+        u_accept = rng.random()
+        if u_accept * lbar <= ltot:
+            u_node = rng.random()
+            cum = np.cumsum(lam)
+            node = int(np.searchsorted(cum, u_node * ltot, side="right"))
+            node = min(node, n - 1)
+            record(node, t_cand)
+
+    return EventHistory(tuple(tuple(row) for row in events), T)

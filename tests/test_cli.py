@@ -278,6 +278,10 @@ class TestFailuresEndAsErrors:
         ({"mu": 5}, "mu must be an array"),
         ({"kernels": [5]}, "kernels[0] must be an array"),
         ({"T": "10"}, "T must be a number"),
+        ({"T": 10**400}, "T is too large for a float"),
+        ({"mu": [10**400]}, "mu[0] is too large for a float"),
+        ({"kernels": [[{"a": 10**400, "b": 1}]]}, "kernels[0][0].a is too large for a float"),
+        ({"kernels": [[{"a": 1, "b": 10**400}]]}, "kernels[0][0].b is too large for a float"),
     ])
     def test_malformed_model(self, tmp_path, capsys, patch, message):
         path = tmp_path / "model.json"

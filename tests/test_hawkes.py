@@ -1,10 +1,13 @@
 """Point-process layer: kernels, simulation, compensators, diagnostics."""
+import hashlib
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalscreen import (
     DirectedMixedGraph,
@@ -22,6 +25,8 @@ from causalscreen import (
     stationarity_check,
     stationary_rates,
 )
+from causalscreen.hawkes import _thinning
+from helpers import reference_thinning
 
 K = ExponentialKernel
 
@@ -102,6 +107,10 @@ class TestKernelsAndModel:
          "mu[1] must be a number"),
         ({"mu": [True, "0.5"], "kernels": [[None, {"a": True, "b": "2"}], [None, None]], "T": "10"},
          "mu[0] must be a number"),
+        ({"T": 10**400}, "T is too large for a float"),
+        ({"mu": [10**400]}, "mu[0] is too large for a float"),
+        ({"kernels": [[{"a": 10**400, "b": 2}]]}, "kernels[0][0].a is too large for a float"),
+        ({"kernels": [[{"a": 1, "b": -10**400}]]}, "kernels[0][0].b is too large for a float"),
     ])
     def test_malformed_json_names_the_bad_part(self, patch, message):
         d = {"mu": [1.0], "kernels": [[None]], "T": 5.0, **patch}
@@ -318,6 +327,18 @@ class TestInterventions:
         with pytest.raises(ValueError):
             simulate_intervened(m, Intervention(5, (1.0,)), 1)
 
+    @pytest.mark.parametrize("node", [1.7, 1.0, np.float64(1.0), True, np.True_, "1", None])
+    def test_node_must_be_an_integer(self, node):
+        with pytest.raises(ValueError, match="node must be an integer"):
+            Intervention(node, (1.0,))
+
+    @pytest.mark.parametrize("node", [1, np.int64(1), np.uint8(1)])
+    def test_integer_nodes_pass(self, node):
+        iv = Intervention(node, (1.0,))
+        assert iv.node == 1 and type(iv.node) is int
+        m = two_node_model()
+        assert simulate_intervened(m, iv, 4) == simulate_intervened(m, Intervention(1, (1.0,)), 4)
+
 
 class TestCompensator:
     def test_poisson_case_is_linear(self):
@@ -348,6 +369,24 @@ class TestCompensator:
             compensator(m, h, 0, (2.0, 1.0))
         with pytest.raises(ValueError):
             compensator(m, EventHistory(((),),  10.0), 0, (1.0,))
+
+    @pytest.mark.parametrize("node", [1.7, np.float64(1.0), True, np.True_, "1"])
+    def test_node_must_be_an_integer(self, node):
+        m = two_node_model()
+        h = EventHistory(((0.5,), (1.0, 2.0)), 10.0)
+        with pytest.raises(ValueError, match="node must be an integer"):
+            compensator(m, h, node, (1.0,))
+        with pytest.raises(ValueError, match="node must be an integer"):
+            rescaled_intervals(m, h, node)
+
+    def test_node_range_and_numpy_ints(self):
+        m = two_node_model()
+        h = EventHistory(((0.5,), (1.0, 2.0)), 10.0)
+        for node in (-1, 2):
+            with pytest.raises(ValueError, match=f"unknown node {node}"):
+                rescaled_intervals(m, h, node)
+        assert np.array_equal(rescaled_intervals(m, h, np.int64(1)), rescaled_intervals(m, h, 1))
+        assert np.array_equal(compensator(m, h, np.int32(0), (3.0,)), compensator(m, h, 0, (3.0,)))
 
     def test_rescaled_intervals_are_unit_exponential(self):
         """Time rescaling: compensator increments between own events are
@@ -388,3 +427,85 @@ class TestPairwiseInfluence:
         parent_rate = len(t0) / 40000.0
         drift = abs(float(np.mean(parent_counts)) - parent_rate * w)
         assert drift < 0.05
+
+
+def _thinning_outcome(thinning, model, interventions, seed, force, max_events):
+    """The event CSV of one run, or the type and text of the error it raised."""
+    try:
+        history = thinning(model, interventions, seed, force, max_events)
+    except (SimulationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    buf = io.StringIO()
+    history.to_csv(buf)
+    return buf.getvalue()
+
+
+@st.composite
+def thinning_cases(draw):
+    """Small models over every kernel support shape, with interventions and caps.
+
+    A "hot" case has branching ratios up to 2 and is simulated with
+    force=True under a small event cap; the others keep every row sum of
+    the branching matrix below 0.9, so they are stationary.
+    """
+    n = draw(st.integers(1, 10))
+    one_in_four = st.sampled_from((False, False, False, True))
+    hot = draw(one_in_four)
+    horizon = draw(st.floats(0.5, 8.0))
+    zero = st.sampled_from((0.0, -0.0))
+    mu = draw(st.lists(zero | st.floats(0.1, 5.0), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("empty", "sparse", "full")))
+    ratio = st.floats(0.5, 2.0) if hot else st.floats(0.01, 0.9 / n)
+    amplitude = {"empty": zero, "sparse": zero | ratio, "full": ratio}[shape]
+    kernels = tuple(
+        tuple(K(r * b, b) for r, b in zip(
+            draw(st.lists(amplitude, min_size=n, max_size=n)),
+            draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n))))
+        for _ in range(n))
+    interventions = []
+    for node in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        times = set(draw(st.lists(st.floats(0.0, horizon), max_size=4)))
+        times |= {t for t, keep in ((0.0, draw(st.booleans())), (horizon, draw(st.booleans())))
+                  if keep}
+        interventions.append(Intervention(node, tuple(sorted(times))))
+    force = hot or draw(st.booleans())
+    capped = hot or draw(one_in_four)
+    max_events = draw(st.sampled_from(range(1, 201))) if capped else 10_000
+    return (HawkesModel(tuple(mu), kernels, horizon), tuple(interventions),
+            draw(st.integers(0, 2**32 - 1)), force, max_events)
+
+
+def sparse_model_12():
+    """12 nodes: self-excitation everywhere, about 15% of cross kernels nonzero."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    n = 12
+    mu = tuple(float(x) for x in rng.uniform(0.2, 0.8, size=n))
+    kernels = tuple(
+        tuple(K(float(rng.uniform(0.1, 0.3)), float(rng.uniform(1.0, 3.0)))
+              if a == b or rng.random() < 0.15 else K(0.0, 1.0)
+              for a in range(n))
+        for b in range(n))
+    return HawkesModel(mu, kernels, 50.0)
+
+
+class TestPackedThinning:
+    """The thinning loop keeps its state on the kernel support only; it must
+    give the bytes and errors of the dense loop it replaced."""
+
+    @settings(max_examples=300)
+    @given(thinning_cases())
+    def test_matches_dense_reference(self, case):
+        assert _thinning_outcome(_thinning, *case) == _thinning_outcome(reference_thinning, *case)
+
+    def test_sparse_golden(self):
+        """Digest of both event CSVs, recorded with the dense loop."""
+        m = sparse_model_12()
+        forced = Intervention(7, tuple(np.arange(0.0, 50.5, 2.5)))
+        histories = (simulate(m, 2024),
+                     simulate_intervened(m, (Intervention(3, ()), forced), 2025))
+        buf = io.StringIO()
+        for h in histories:
+            h.to_csv(buf)
+        assert [h.total for h in histories] == [421, 369]
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "d1f93ce58400f610e08aebefac83c1af8cf5b5bd914da3eeefa3702b4077f978")

@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` wraps module attributes of the package by name
 and splits screening runs into the public step functions. A rename or a
 signature change in the package would break ``perfbench/run.py --trace 1``
-without failing any other test; this test runs the tracer on small inputs
-and checks it reproduces the untraced results.
+without failing any other test; these tests run the tracer on small
+inputs and check it reproduces the untraced results.
 """
 import importlib
 import io
@@ -12,6 +12,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from causalscreen import (
@@ -20,6 +21,7 @@ from causalscreen import (
     bench_run,
     connectome,
     experiments,
+    hawkes,
     run_connectome,
     screening,
 )
@@ -69,3 +71,26 @@ def test_traced_run_reproduces_untraced_results(perfbench):
         assert metrics[f"screening.{stage}.queries"] > 0
     assert tracer.calls("connectome.ingest_connectome") == 1
     assert tracer.calls("experiments.random_dmg") == CORPUS.count
+
+
+def test_traced_hawkes_pass_reproduces_untraced_histories(perfbench, monkeypatch):
+    """A shrunken hawkes workload: its pass runs through every hawkes span."""
+    tracing, workloads = perfbench
+    monkeypatch.setattr(workloads, "HAWKES_NODES", 6)
+    monkeypatch.setattr(workloads, "HAWKES_HORIZON", 8.0)
+    workload = workloads.HawkesWorkload(0)
+    history, intervened, intervals = workload.run_pass(None)
+    assert history.total and intervened.total
+
+    tracer = tracing.Tracer()
+    stack, _ = tracing.install(tracer)
+    with stack:
+        got = workload.run_pass(None)
+
+    assert got[:2] == (history, intervened)
+    assert all(map(np.array_equal, got[2], intervals))
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["hawkes.events"] == history.total + intervened.total
+    for span in ("simulate", "simulate_intervened", "compensator"):
+        assert metrics[f"hawkes.{span}.s"] > 0
+    assert tracer.calls("hawkes.compensator") == sum(1 for row in history.times if row)
