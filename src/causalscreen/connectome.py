@@ -17,7 +17,9 @@ projection: excess edges, degree rank correlations, and top-k hub overlap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO
 
 import numpy as np
@@ -40,6 +42,8 @@ __all__ = [
 ]
 
 CONNECTOME_HEADER = "pre,post,count,type"
+# The last field of a well-formed row, with or without its "\n", to its type.
+_KINDS = {"chem": "chem", "chem\n": "chem", "gap": "gap", "gap\n": "gap"}
 
 
 @dataclass(frozen=True)
@@ -125,19 +129,31 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
     gap: set = set()
     names: set = set()
     for lineno, raw in enumerate(fh, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        pre, post, count, kind = _parse_row(lineno, line)
+        # A well-formed row is read inline. Anything else (padding, a \r\n
+        # ending, a blank or bad row) goes to _parse_row, which strips each
+        # field and names the row's fault, so both routes accept the same
+        # tables with the same values.
+        fields = raw.split(",")
+        count = 0
+        if len(fields) == 4:
+            pre, post, count_s, kind = fields
+            kind = _KINDS.get(kind)
+            if (kind and pre and post and pre.strip() == pre and post.strip() == post
+                    and count_s.isdecimal()):
+                count = int(count_s)
+        if count < 1:
+            line = raw.strip()
+            if not line:
+                continue
+            pre, post, count, kind = _parse_row(lineno, line)
         names.add(pre)
         names.add(post)
         if kind == "chem":
             key = (pre, post)
-            chem[key] = max(chem.get(key, 0), count)
-        else:
-            if pre == post:
-                continue
-            gap.add((min(pre, post), max(pre, post)))
+            if count > chem.get(key, 0):
+                chem[key] = count
+        elif pre != post:
+            gap.add((pre, post) if pre < post else (post, pre))
     if not names:
         raise GraphError("connectome file has no records")
     labels = sorted(names)
@@ -177,18 +193,15 @@ def subsample(g: DirectedMixedGraph, m: int, seed: int, *,
     weights = degree_weights(g, weight_exponent)
     rng = np.random.Generator(np.random.PCG64(seed))
     remaining = list(g.nodes)
+    remaining_w = [weights[v] for v in remaining]
     chosen = []
     for _ in range(m):
-        total = sum(weights[v] for v in remaining)
-        x = rng.random() * total
-        acc = 0.0
-        pick = len(remaining) - 1
-        for idx, v in enumerate(remaining):
-            acc += weights[v]
-            if x < acc:
-                pick = idx
-                break
+        x = rng.random() * sum(remaining_w)
+        # the first node whose running sum exceeds x; accumulate makes the
+        # same left-to-right additions as a running total
+        pick = min(bisect_right(list(accumulate(remaining_w)), x), len(remaining) - 1)
         chosen.append(remaining.pop(pick))
+        del remaining_w[pick]
     return tuple(sorted(chosen))
 
 

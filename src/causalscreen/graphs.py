@@ -99,41 +99,45 @@ class DirectedMixedGraph:
                 raise GraphError("labels must be unique")
             label_map = dict(zip(ids, labels))
 
-        dir_edges = set()
+        dir_edges = []
         for e in directed:
-            t, h = (int(x) for x in e)
+            t, h = e
+            t, h = int(t), int(h)
             if t not in node_set or h not in node_set:
                 raise GraphError(f"directed edge {(t, h)} mentions unknown node")
-            dir_edges.add((t, h))
-        for v in ids:
-            dir_edges.add((v, v))
+            dir_edges.append((t, h))
+        dir_edges.extend(zip(ids, ids))
+        dir_edges = frozenset(dir_edges)
 
-        bi_edges = set()
+        bi_edges = []
         for e in bidirected:
-            a, b = (int(x) for x in e)
+            a, b = e
+            a, b = int(a), int(b)
             if a not in node_set or b not in node_set:
                 raise GraphError(f"bidirected edge {(a, b)} mentions unknown node")
             if a == b:
                 raise GraphError(f"bidirected self-edge at node {a}")
-            bi_edges.add((min(a, b), max(a, b)))
+            bi_edges.append((a, b) if a < b else (b, a))
+        bi_edges = frozenset(bi_edges)
 
-        children = {v: set() for v in ids}
-        parents = {v: set() for v in ids}
-        siblings = {v: set() for v in ids}
+        # lists, not sets: both edge sets are already free of duplicates
+        children = {v: [] for v in ids}
+        parents = {v: [] for v in ids}
+        siblings = {v: [] for v in ids}
         for t, h in dir_edges:
-            children[t].add(h)
-            parents[h].add(t)
+            children[t].append(h)
+            parents[h].append(t)
         for a, b in bi_edges:
-            siblings[a].add(b)
-            siblings[b].add(a)
+            siblings[a].append(b)
+            siblings[b].append(a)
 
         self._nodes = ids
         self._node_set = node_set
         self._labels = label_map
-        self._directed = frozenset(dir_edges)
-        self._bidirected = frozenset(bi_edges)
-        self._children = {v: frozenset(s) for v, s in children.items()}
-        self._parents = {v: frozenset(s) for v, s in parents.items()}
+        self._directed = dir_edges
+        self._bidirected = bi_edges
+        self._children = {v: frozenset(c) for v, c in children.items()}
+        self._parents = {v: frozenset(p) for v, p in parents.items()}
         self._siblings = {v: frozenset(s) for v, s in siblings.items()}
         self._cache = {}
 

@@ -77,9 +77,9 @@ class ExponentialKernel:
     b: float
 
     def __post_init__(self):
-        if not (self.a >= 0.0 and math.isfinite(self.a)):
+        if not (self.a >= 0.0 and math.isfinite(_float(self.a, "kernel amplitude"))):
             raise ValueError(f"kernel amplitude must be finite and >= 0, got {self.a!r}")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
+        if not (self.b > 0.0 and math.isfinite(_float(self.b, "kernel decay"))):
             raise ValueError(f"kernel decay must be finite and > 0, got {self.b!r}")
 
     def __call__(self, u: float) -> float:
@@ -97,13 +97,22 @@ def _is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _floats(values, where: str) -> tuple:
+    """``float`` of each value; an int beyond the float range is a ValueError naming where."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{where} is too large for a float") from None
+
+
+def _float(value, where: str) -> float:
+    return _floats((value,), where)[0]
+
+
 def _json_number(value, where: str) -> float:
     if not _is_json_number(value):
         raise ValueError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:   # a JSON integer beyond the float range
-        raise ValueError(f"{where} is too large for a float") from None
+    return _float(value, where)
 
 
 def _node_index(node) -> int:
@@ -124,7 +133,7 @@ class HawkesModel:
     horizon: float
 
     def __post_init__(self):
-        mu = tuple(float(x) for x in self.mu)
+        mu = _floats(self.mu, "baseline rate")
         if not mu:
             raise ValueError("model needs at least one node")
         if any(not (x >= 0.0 and math.isfinite(x)) for x in mu):
@@ -137,7 +146,7 @@ class HawkesModel:
             for k in row:
                 if not isinstance(k, ExponentialKernel):
                     raise TypeError("kernel entries must be ExponentialKernel")
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
+        if not (self.horizon > 0.0 and math.isfinite(_float(self.horizon, "horizon"))):
             raise ValueError("horizon must be finite and > 0")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kernels", rows)
@@ -208,7 +217,7 @@ class EventHistory:
     def __post_init__(self):
         rows = []
         for seq in self.times:
-            row = tuple(float(t) for t in seq)
+            row = _floats(seq, "event time")
             if not all(map(math.isfinite, row)):
                 raise ValueError("event times must be finite")
             for prev, cur in zip(row, row[1:]):
@@ -220,7 +229,7 @@ class EventHistory:
         if not rows:
             raise ValueError("history needs at least one node")
         object.__setattr__(self, "times", tuple(rows))
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", _float(self.horizon, "horizon"))
 
     @property
     def n(self) -> int:
@@ -274,7 +283,7 @@ class Intervention:
     times: tuple
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
+        ts = _floats(self.times, "intervention time")
         if not all(map(math.isfinite, ts)):
             raise ValueError("intervention times must be finite")
         for prev, cur in zip(ts, ts[1:]):
@@ -522,7 +531,7 @@ def compensator(model: HawkesModel, history: EventHistory, node: int,
     (1 - exp(-b_ba (t - s))) to the integral from 0 to t.
     """
     node = _history_node(model, history, node)
-    ts = [float(t) for t in times]
+    ts = list(_floats(times, "compensator time"))
     for prev, cur in zip(ts, ts[1:]):
         if cur < prev:
             raise ValueError("compensator times must be ascending")

@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import chain, combinations
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from causalscreen import DirectedMixedGraph, ancestors
+from causalscreen import DirectedMixedGraph, GraphError, ancestors
+from causalscreen.connectome import CONNECTOME_HEADER, degree_weights
 from causalscreen.experiments import CorpusConfig, random_dmg
 from causalscreen.hawkes import (
     EventHistory,
@@ -302,3 +303,82 @@ def reference_thinning(model: HawkesModel, interventions: Sequence[Intervention]
             record(node, t_cand)
 
     return EventHistory(tuple(tuple(row) for row in events), T)
+
+
+def _reference_parse_row(lineno: int, line: str) -> tuple:
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != 4:
+        raise GraphError(f"line {lineno}: expected 4 fields, got {len(parts)}: {line!r}")
+    pre, post, count_s, kind = parts
+    if not pre or not post:
+        raise GraphError(f"line {lineno}: empty node name: {line!r}")
+    try:
+        count = int(count_s)
+    except ValueError:
+        raise GraphError(f"line {lineno}: non-numeric count {count_s!r}") from None
+    if count < 1:
+        raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
+    if kind not in ("chem", "gap"):
+        raise GraphError(f"line {lineno}: type must be chem or gap, got {kind!r}")
+    return pre, post, count, kind
+
+
+def reference_ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
+    """Synapse CSV ingest as it was before valid rows got an inline path.
+
+    Every row is stripped and parsed field by field; ``ingest_connectome``
+    must return an equal graph with equal labels, or raise the same error.
+    """
+    header = fh.readline().strip()
+    if header != CONNECTOME_HEADER:
+        raise GraphError(f"expected header {CONNECTOME_HEADER!r}, got {header!r}")
+    chem: dict = {}
+    gap: set = set()
+    names: set = set()
+    for lineno, raw in enumerate(fh, start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        pre, post, count, kind = _reference_parse_row(lineno, line)
+        names.add(pre)
+        names.add(post)
+        if kind == "chem":
+            key = (pre, post)
+            chem[key] = max(chem.get(key, 0), count)
+        else:
+            if pre == post:
+                continue
+            gap.add((min(pre, post), max(pre, post)))
+    if not names:
+        raise GraphError("connectome file has no records")
+    labels = sorted(names)
+    index = {name: i for i, name in enumerate(labels)}
+    directed = [(index[a], index[b]) for (a, b), c in chem.items() if c > threshold]
+    bidirected = [(index[a], index[b]) for a, b in sorted(gap)]
+    return DirectedMixedGraph(len(labels), directed, bidirected, labels=labels)
+
+
+def reference_subsample(g: DirectedMixedGraph, m: int, seed: int, *,
+                        weight_exponent: float = 1.0) -> tuple:
+    """Weighted draws as a running total over the remaining nodes, node by node.
+
+    ``connectome.subsample`` must return the same tuple.
+    """
+    if not 1 <= m <= g.n:
+        raise GraphError(f"sample size {m} not in [1, {g.n}]")
+    weights = degree_weights(g, weight_exponent)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    remaining = list(g.nodes)
+    chosen = []
+    for _ in range(m):
+        total = sum(weights[v] for v in remaining)
+        x = rng.random() * total
+        acc = 0.0
+        pick = len(remaining) - 1
+        for idx, v in enumerate(remaining):
+            acc += weights[v]
+            if x < acc:
+                pick = idx
+                break
+        chosen.append(remaining.pop(pick))
+    return tuple(sorted(chosen))

@@ -2,6 +2,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,49 @@ class TestConstruction:
         g = DirectedMixedGraph(3, bidirected=[(0, 2)])
         assert g.siblings(0) == frozenset({2})
         assert g.siblings(1) == frozenset()
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=n))))
+    @settings(max_examples=150)
+    def test_adjacency_maps_match_edge_sets(self, drawn):
+        n, directed, bidirected = drawn
+        # lists and numpy ints as edge ends: the constructor normalises both
+        g = DirectedMixedGraph(n, [list(e) for e in directed],
+                               [tuple(map(np.int64, e)) for e in bidirected])
+        assert g.directed == set(directed) | {(v, v) for v in range(n)}
+        assert g.bidirected == {(min(e), max(e)) for e in bidirected}
+        for v in g.nodes:
+            assert g.children(v) == {h for t, h in g.directed if t == v}
+            assert g.parents(v) == {t for t, h in g.directed if h == v}
+            assert g.siblings(v) == ({b for a, b in g.bidirected if a == v}
+                                     | {a for a, b in g.bidirected if b == v})
+            for adj in (g.children(v), g.parents(v), g.siblings(v)):
+                assert type(adj) is frozenset
+                assert all(type(u) is int for u in adj)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"directed": [(0, 3)]}, GraphError, "directed edge (0, 3) mentions unknown node"),
+        ({"bidirected": [(9, 0)]}, GraphError, "bidirected edge (9, 0) mentions unknown node"),
+        ({"bidirected": [("1", 1)]}, GraphError, "bidirected self-edge at node 1"),
+        ({"directed": [(0, 1, 2)]}, ValueError, "too many values to unpack"),
+        ({"directed": [(0,)]}, ValueError, "not enough values to unpack"),
+        ({"directed": [5]}, TypeError, None),
+        ({"bidirected": [("0", "x")]}, ValueError, "invalid literal for int()"),
+    ])
+    def test_bad_edges(self, kwargs, error, message):
+        with pytest.raises(error) as info:
+            DirectedMixedGraph(3, **kwargs)
+        if message is not None:
+            assert str(info.value).startswith(message)
+
+    def test_edge_ends_are_normalised_to_int(self):
+        g = DirectedMixedGraph(3, [("0", np.int64(2))], [(2.0, "1")])
+        assert g.directed == {(0, 2), (0, 0), (1, 1), (2, 2)}
+        assert g.bidirected == {(1, 2)}
+        assert all(type(v) is int for e in g.directed | g.bidirected for v in e)
 
 
 class TestAncestors:

@@ -118,6 +118,25 @@ class TestKernelsAndModel:
             HawkesModel.from_json_dict(d)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: K(10**400, 1.0), "kernel amplitude is too large for a float"),
+        (lambda: K(1.0, 10**400), "kernel decay is too large for a float"),
+        (lambda: Intervention(0, (1.0, 10**400)), "intervention time is too large for a float"),
+        (lambda: EventHistory(((10**400,),), 10.0), "event time is too large for a float"),
+        (lambda: EventHistory(((1.0,),), 10**400), "horizon is too large for a float"),
+        (lambda: HawkesModel((10**400,), ((K(0.0, 1.0),),), 5.0),
+         "baseline rate is too large for a float"),
+        (lambda: HawkesModel((1.0,), ((K(0.0, 1.0),),), 10**400),
+         "horizon is too large for a float"),
+        (lambda: compensator(two_node_model(), EventHistory(((), ()), 10.0), 0, [1.0, 10**400]),
+         "compensator time is too large for a float"),
+    ], ids=["kernel-a", "kernel-b", "intervention", "event", "history-horizon", "mu",
+            "model-horizon", "compensator"])
+    def test_int_beyond_float_range_is_a_value_error(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
 
 class TestCausalGraph:
     def test_edges_follow_amplitudes(self):
