@@ -13,16 +13,13 @@ from .graphs import (
     ancestors,
     canonical_dg,
     directed_part,
-    directed_trek_exists,
     latent_projection,
     parent_graph,
 )
 from .separation import (
     GraphicalOracle,
     SeparationQuery,
-    brute_force_mu_separated,
     mu_separated,
-    walk_is_mu_connecting,
 )
 from .screening import (
     Algorithm,
@@ -76,9 +73,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DirectedMixedGraph", "GraphError", "ancestors", "canonical_dg",
-    "directed_part", "directed_trek_exists", "latent_projection", "parent_graph",
-    "GraphicalOracle", "SeparationQuery", "brute_force_mu_separated",
-    "mu_separated", "walk_is_mu_connecting",
+    "directed_part", "latent_projection", "parent_graph",
+    "GraphicalOracle", "SeparationQuery", "mu_separated",
     "Algorithm", "LearnResult", "TraceEntry", "ancestry_propagation",
     "ancestry_propagation_cheap", "parent_step", "run", "trek_step",
     "EventHistory", "ExponentialKernel", "HawkesModel", "Intervention",

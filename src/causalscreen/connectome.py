@@ -58,6 +58,8 @@ class ConnectomeSpec:
             raise ValueError("threshold must be >= 0")
         if self.sample < 1:
             raise ValueError("sample size must be >= 1")
+        if not math.isfinite(self.weight_exponent):
+            raise ValueError(f"weight exponent must be finite, got {self.weight_exponent}")
 
 
 @dataclass(frozen=True)
@@ -167,16 +169,22 @@ def degree_weights(g: DirectedMixedGraph, exponent: float = 1.0) -> dict:
     """Sampling weight (1 + degree)^exponent per node.
 
     Degree counts non-loop directed edges in both directions plus
-    bidirected incidences.
+    bidirected incidences: a node's children, parents and siblings, less
+    its own loop on each side. The exponent must be finite and small
+    enough that the weights and their total stay finite.
     """
-    deg = {v: 0 for v in g.nodes}
-    for a, b in g.nonloop_directed:
-        deg[a] += 1
-        deg[b] += 1
-    for a, b in g.bidirected:
-        deg[a] += 1
-        deg[b] += 1
-    return {v: (1.0 + d) ** exponent for v, d in deg.items()}
+    if not math.isfinite(exponent):
+        raise ValueError(f"weight exponent must be finite, got {exponent}")
+    deg = {v: len(g.children(v)) + len(g.parents(v)) - 2 + len(g.siblings(v))
+           for v in g.nodes}
+    overflow = f"weight exponent {exponent} overflows the degree weights"
+    try:
+        weights = {v: (1.0 + d) ** exponent for v, d in deg.items()}
+    except OverflowError:
+        raise ValueError(overflow) from None
+    if not math.isfinite(sum(weights.values())):
+        raise ValueError(overflow)
+    return weights
 
 
 def subsample(g: DirectedMixedGraph, m: int, seed: int, *,
@@ -194,6 +202,11 @@ def subsample(g: DirectedMixedGraph, m: int, seed: int, *,
     rng = np.random.Generator(np.random.PCG64(seed))
     remaining = list(g.nodes)
     remaining_w = [weights[v] for v in remaining]
+    # A weight underflows to zero for a very negative exponent. A draw over
+    # all-zero weights would take the last remaining node whatever the seed.
+    if sum(w > 0.0 for w in remaining_w) < m:
+        raise ValueError(f"weight exponent {weight_exponent} leaves fewer than "
+                         f"{m} nodes with a nonzero weight")
     chosen = []
     for _ in range(m):
         x = rng.random() * sum(remaining_w)

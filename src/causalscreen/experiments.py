@@ -186,18 +186,12 @@ def topk_overlap(truth_deg: Mapping[int, float], out_deg: Mapping[int, float],
 
 def indegrees(g: DirectedMixedGraph) -> dict:
     """Non-loop directed in-degree per node."""
-    deg = {v: 0 for v in g.nodes}
-    for _, b in g.nonloop_directed:
-        deg[b] += 1
-    return deg
+    return {v: len(g.parents(v)) - 1 for v in g.nodes}
 
 
 def outdegrees(g: DirectedMixedGraph) -> dict:
     """Non-loop directed out-degree per node."""
-    deg = {v: 0 for v in g.nodes}
-    for a, _ in g.nonloop_directed:
-        deg[a] += 1
-    return deg
+    return {v: len(g.children(v)) - 1 for v in g.nodes}
 
 
 def _observed_subset(cfg: CorpusConfig, i: int, latent_fraction: float) -> tuple:

@@ -29,7 +29,6 @@ __all__ = [
     "latent_projection",
     "directed_part",
     "canonical_dg",
-    "directed_trek_exists",
 ]
 
 
@@ -299,9 +298,9 @@ class DirectedMixedGraph:
             raise GraphError(f"invalid JSON: {exc}") from None
         return cls.from_json_dict(doc)
 
-    def to_dot(self, fh: Optional[TextIO] = None, name: str = "G") -> str:
+    def to_dot(self, fh: Optional[TextIO] = None) -> str:
         """Graphviz export; bidirected edges use dir=both, loops suppressed."""
-        lines = [f"digraph {name} {{"]
+        lines = ["digraph G {"]
         for v in self._nodes:
             lines.append(f'  "{self._labels[v]}";')
         for t, h in sorted(self.nonloop_directed):
@@ -470,97 +469,3 @@ def canonical_dg(g: DirectedMixedGraph) -> tuple[DirectedMixedGraph, frozenset]:
     dg = DirectedMixedGraph(ids, directed, (), labels=labels)
     return dg, g.node_set
 
-
-# -- treks ----------------------------------------------------------------
-
-
-def directed_trek_exists(g: DirectedMixedGraph, src: int, dst: int) -> bool:
-    """Is there a trek from ``src`` to ``dst`` whose last edge points into ``dst``?
-
-    A trek is a path (no repeated nodes, so loops never participate) with no
-    colliders. Such a path is a directed path out of a common source node,
-    optionally with a single bidirected edge at the top:
-    ``src <- .. <- s -> .. -> dst`` or ``src <- .. u <-> v .. -> dst``.
-    It is directed into ``dst`` when the leg toward ``dst`` is nonempty or
-    the bidirected edge sits at ``dst`` itself. There is no trek from a node
-    to itself.
-
-    The two legs must be node-disjoint apart from the shared top, which is
-    decided exactly with a small unit-capacity flow.
-    """
-    src = g._check_node(src)
-    dst = g._check_node(dst)
-    if src == dst:
-        return False
-    anc_src = ancestors(g, {src})
-    anc_dst = ancestors(g, {dst})
-    if src in anc_dst:
-        return True  # a directed path src -> dst is itself a trek
-    for s in sorted((anc_src & anc_dst) - {src, dst}):
-        if _two_disjoint_paths(g, [("out", s, 2)], src, dst):
-            return True
-    for a, b in sorted(g.bidirected):
-        if not ((a in anc_src and b in anc_dst) or (b in anc_src and a in anc_dst)):
-            continue
-        if _two_disjoint_paths(g, [("in", a, 1), ("in", b, 1)], src, dst):
-            return True
-    return False
-
-
-def _two_disjoint_paths(g: DirectedMixedGraph, source_arcs, src: int, dst: int) -> bool:
-    """Unit-capacity max-flow check for two node-disjoint directed paths.
-
-    Each graph node v is split into v_in -> v_out with capacity 1; each
-    non-loop directed edge t -> h becomes t_out -> h_in. The sinks are
-    src_out and dst_out (capacity 1 each), so the two paths must end at
-    src and dst, one each, and cannot pass through either endpoint.
-    ``source_arcs`` selects where the paths may start: ("out", s, 2) lets
-    both start at s sharing only s; ("in", u, 1) starts one path at u and
-    charges u's capacity so the other path cannot touch u.
-    """
-    S, T = -1, -2
-
-    def vin(v):
-        return 2 * v
-
-    def vout(v):
-        return 2 * v + 1
-
-    cap = {}
-    adj = {}
-
-    def add(u, v, c):
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap.setdefault((v, u), 0)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    for v in g.nodes:
-        add(vin(v), vout(v), 1)
-    for t, h in g.nonloop_directed:
-        add(vout(t), vin(h), 1)
-    add(vout(src), T, 1)
-    add(vout(dst), T, 1)
-    for kind, v, c in source_arcs:
-        add(S, vin(v) if kind == "in" else vout(v), c)
-
-    flow = 0
-    while flow < 2:
-        prev = {S: None}
-        queue = deque([S])
-        while queue and T not in prev:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in prev and cap.get((u, v), 0) > 0:
-                    prev[v] = u
-                    queue.append(v)
-        if T not in prev:
-            return False
-        v = T
-        while prev[v] is not None:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
-        flow += 1
-    return True

@@ -29,9 +29,9 @@ chosen departure. Each graph is compiled once into an int-state form (see
 search states by one lookup in that form's index, and the lookup is the
 query's validation: an id is valid exactly when it is a key there, so ints
 and numpy ints pass and ``1.5`` or ``"1"`` raise :class:`GraphError`.
-``brute_force_mu_separated``
-rechecks the definition at the walk level for small graphs and exists to
-cross-validate the search.
+The walk-level checkers that cross-validate the search against the
+definition (walk enumeration, a single-walk check) are test code and live
+in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -41,14 +41,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from .graphs import DirectedMixedGraph, GraphError, _check_subset, ancestors, latent_projection
+from .graphs import DirectedMixedGraph, GraphError, latent_projection
+# Not called here; importable from this module because perfbench/tracing.py
+# patches it by name.
+from .graphs import ancestors
 
 __all__ = [
     "HEAD",
     "TAIL",
     "mu_separated",
-    "brute_force_mu_separated",
-    "walk_is_mu_connecting",
     "SeparationQuery",
     "GraphicalOracle",
 ]
@@ -56,60 +57,40 @@ __all__ = [
 HEAD = 1
 TAIL = 0
 
-BRUTE_FORCE_NODE_CAP = 6
-
-
-def _moves(g: DirectedMixedGraph):
-    """Per-node traversal table: (departure mark, next node, arrival mark).
-
-    Each directed edge t -> h yields a forward move (TAIL out of t, HEAD
-    into h) and a reverse move (HEAD out of h, TAIL into t); a bidirected
-    edge yields head-out/head-in both ways. A loop contributes both of its
-    orientations at its single node.
-    """
-    try:
-        return g._cache["moves"]
-    except KeyError:
-        pass
-    table = {v: [] for v in g.nodes}
-    for t, h in g.directed:
-        table[t].append((TAIL, h, HEAD))
-        table[h].append((HEAD, t, TAIL))
-    for a, b in g.bidirected:
-        table[a].append((HEAD, b, HEAD))
-        table[b].append((HEAD, a, HEAD))
-    table = {v: tuple(ms) for v, ms in table.items()}
-    g._cache["moves"] = table
-    return table
-
 
 class _Compiled:
     """Int-state form of one graph, answering separation by reachability.
 
     Nodes are renumbered to ``0..N-1`` in sorted id order, and a walk state
     (node ``i``, arrival mark ``m``) becomes the int ``2*i + m``. Per node
-    there are three successor tuples over those states: departures by head,
-    departures by tail, and both together. Ancestor sets are int bitmasks
-    over the renumbered nodes, one per node, filled on first use, so that
-    anc(C) is the OR of the masks of C. The form depends only on the graph,
-    which is immutable, so it is built once and cached on the graph; two
-    threads that build it or fill the same mask at once store equal values.
+    there are three successor tuples over those states, read off the
+    graph's adjacency maps: departures by head (to each parent, arriving by
+    tail, and to each sibling, arriving by head), departures by tail (to
+    each child, arriving by head), and both together. The loop ``v -> v``
+    is in ``v``'s parents and children, so it contributes both of its
+    orientations. Ancestor sets are int bitmasks over the renumbered nodes,
+    one per node, filled on first use, so that anc(C) is the OR of the
+    masks of C. The form depends only on the graph, which is immutable, so
+    it is built once and cached on the graph; two threads that build it or
+    fill the same mask at once store equal values.
     """
 
     __slots__ = ("index", "head_out", "tail_out", "all_out", "parents", "anc")
 
     def __init__(self, g: DirectedMixedGraph):
         self.index = index = {v: i for i, v in enumerate(g.nodes)}
-        moves = _moves(g)
-        head_out, tail_out = [], []
+        parents, children, siblings = g._parents, g._children, g._siblings
+        head_out, tail_out, par = [], [], []
         for v in g.nodes:
-            ms = moves[v]
-            head_out.append(tuple(2 * index[w] + am for dm, w, am in ms if dm == HEAD))
-            tail_out.append(tuple(2 * index[w] + am for dm, w, am in ms if dm == TAIL))
+            ps = tuple(index[p] for p in parents[v])
+            par.append(ps)
+            head_out.append(tuple([2 * p + TAIL for p in ps]
+                                  + [2 * index[s] + HEAD for s in siblings[v]]))
+            tail_out.append(tuple(2 * index[c] + HEAD for c in children[v]))
         self.head_out = tuple(head_out)
         self.tail_out = tuple(tail_out)
         self.all_out = tuple(h + t for h, t in zip(head_out, tail_out))
-        self.parents = tuple(tuple(index[p] for p in g.parents(v)) for v in g.nodes)
+        self.parents = tuple(par)
         self.anc = [0] * len(index)
 
     def ancestor_mask(self, i: int) -> int:
@@ -206,117 +187,6 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
                 push(w)
             elif mark == _TARGET:
                 return False
-    return True
-
-
-def walk_is_mu_connecting(g: DirectedMixedGraph, walk, given: Iterable[int] = ()) -> bool:
-    """Check one explicit walk against the connecting-walk definition.
-
-    ``walk`` is a sequence of steps ``(v, depart_mark, w, arrive_mark)``;
-    consecutive steps must chain (each step's ``w`` is the next step's
-    ``v``). Each step must instantiate an actual edge: (TAIL, HEAD) needs
-    ``v -> w``, (HEAD, TAIL) needs ``w -> v``, (HEAD, HEAD) needs
-    ``v <-> w``. Intended for tests and diagnostics; the walk list is the
-    definition made concrete.
-    """
-    c = frozenset(given)
-    steps = list(walk)
-    if not steps:
-        return False
-    for (v, dm, w, am) in steps:
-        g._check_node(v)
-        g._check_node(w)
-        if (dm, am) == (TAIL, HEAD):
-            ok = (v, w) in g.directed
-        elif (dm, am) == (HEAD, TAIL):
-            ok = (w, v) in g.directed
-        elif (dm, am) == (HEAD, HEAD):
-            ok = g.has_bidirected(v, w) if v != w else False
-        else:
-            ok = False
-        if not ok:
-            raise GraphError(f"step {(v, dm, w, am)} does not instantiate an edge")
-    for prev, nxt in zip(steps, steps[1:]):
-        if prev[2] != nxt[0]:
-            raise GraphError("walk steps do not chain")
-
-    source = steps[0][0]
-    if source in c:
-        return False
-    if steps[-1][3] != HEAD:
-        return False
-    anc = ancestors(g, c)
-    for prev, nxt in zip(steps, steps[1:]):
-        node = prev[2]
-        arrive, depart = prev[3], nxt[1]
-        if arrive == HEAD and depart == HEAD:
-            if node not in anc:
-                return False
-        elif node in c:
-            return False
-    return True
-
-
-def _bf_connecting_targets(g: DirectedMixedGraph, source: int,
-                           given: frozenset, stop: frozenset) -> frozenset:
-    """Targets reachable from ``source`` by a connecting walk, exhaustively.
-
-    Depth-first enumeration of all walks whose (node, arrival-mark) states
-    are pairwise distinct. That restriction loses nothing: a connecting
-    walk that revisits a state can be spliced at the repeat (the departure
-    taken at the second visit is equally legal at the first), so a minimal
-    connecting walk never repeats a state, which also bounds its length by
-    two edges per node. Constraints are applied per occurrence, exactly as
-    the definition states them; every head arrival marks a complete
-    connecting walk ending there.
-    """
-    moves = _moves(g)
-    anc = ancestors(g, given)
-    found = set()
-
-    def rec(v, mark, used):
-        if found >= stop:
-            return
-        for dm, w, am in moves[v]:
-            if mark == HEAD and dm == HEAD:
-                if v not in anc:
-                    continue
-            elif v in given:
-                continue
-            state = (w, am)
-            if state in used:
-                continue
-            if am == HEAD:
-                found.add(w)
-            used.add(state)
-            rec(w, am, used)
-            used.discard(state)
-
-    for _, w, am in moves[source]:
-        if am == HEAD:
-            found.add(w)
-        if found >= stop:
-            break
-        rec(w, am, {(w, am)})
-    return frozenset(found)
-
-
-def brute_force_mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
-                             targets: Iterable[int], given: Iterable[int] = (),
-                             max_nodes: int = BRUTE_FORCE_NODE_CAP) -> bool:
-    """Walk-enumeration reference for :func:`mu_separated` on small graphs.
-
-    Refuses graphs above ``max_nodes`` (the enumeration is exponential).
-    """
-    if g.n > max_nodes:
-        raise GraphError(
-            f"brute force capped at {max_nodes} nodes, graph has {g.n}")
-    a, b, c = (_check_subset(g, s) for s in (sources, targets, given))
-    if not a or not b:
-        raise GraphError("source and target sets must be nonempty")
-    for v in sorted(a - c):
-        if _bf_connecting_targets(g, v, c, stop=b) & b:
-            return False
     return True
 
 

@@ -1,8 +1,20 @@
-"""Shared test utilities: independent re-implementations used as oracles.
+"""Shared test utilities: independent checkers and re-implementations.
 
 Everything in here is deliberately written by a different route than the
 library code it checks (plain DFS instead of flow, itertools instead of
-incremental bookkeeping), so agreement is meaningful.
+incremental bookkeeping), so agreement is meaningful. Two kinds of code
+live here:
+
+* checkers of the definitions, which the package itself never runs: the
+  walk-enumeration separation test ``brute_force_mu_separated`` and the
+  single-walk check ``walk_is_mu_connecting`` (criterion 1), and the
+  max-flow trek decider ``directed_trek_exists`` (criteria 2 and 3);
+* ``reference_*`` functions, each the route a library function took before
+  it was rewritten, which the rewrite must still agree with.
+
+None of them reads a private name of ``causalscreen.separation``; the
+brute force and the reference search build their own move tables from
+``g.directed`` and ``g.bidirected``.
 """
 from __future__ import annotations
 
@@ -15,7 +27,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from causalscreen import DirectedMixedGraph, GraphError, ancestors
-from causalscreen.connectome import CONNECTOME_HEADER, degree_weights
+from causalscreen.connectome import CONNECTOME_HEADER
 from causalscreen.experiments import CorpusConfig, random_dmg
 from causalscreen.hawkes import (
     EventHistory,
@@ -26,6 +38,9 @@ from causalscreen.hawkes import (
 )
 
 HEAD, TAIL = 1, 0
+
+# The walk enumeration is exponential; it refuses larger graphs.
+BRUTE_FORCE_NODE_CAP = 6
 
 # populated by the acceptance gate, echoed by a conftest summary hook so the
 # verdict lines survive output capture
@@ -76,6 +91,238 @@ def enumerate_trek_into(g: DirectedMixedGraph, src: int, dst: int) -> bool:
     return walk(src, TAIL, {src})
 
 
+def move_table(g: DirectedMixedGraph) -> dict:
+    """Per-node traversal table: (departure mark, next node, arrival mark).
+
+    Each directed edge t -> h yields a forward move (TAIL out of t, HEAD
+    into h) and a reverse move (HEAD out of h, TAIL into t); a bidirected
+    edge yields head-out/head-in both ways. A loop contributes both of its
+    orientations at its single node. Built afresh on every call.
+    """
+    moves = {v: [] for v in g.nodes}
+    for t, h in g.directed:
+        moves[t].append((TAIL, h, HEAD))
+        moves[h].append((HEAD, t, TAIL))
+    for x, y in g.bidirected:
+        moves[x].append((HEAD, y, HEAD))
+        moves[y].append((HEAD, x, HEAD))
+    return moves
+
+
+def _check_node(g: DirectedMixedGraph, v: int) -> int:
+    if v not in g.node_set:
+        raise GraphError(f"unknown node {v!r}")
+    return v
+
+
+def _node_subset(g: DirectedMixedGraph, vs) -> frozenset:
+    vs = frozenset(vs)
+    unknown = vs - g.node_set
+    if unknown:
+        raise GraphError(f"unknown nodes {sorted(unknown, key=repr)}")
+    return vs
+
+
+def walk_is_mu_connecting(g: DirectedMixedGraph, walk, given=()) -> bool:
+    """Check one explicit walk against the connecting-walk definition.
+
+    ``walk`` is a sequence of steps ``(v, depart_mark, w, arrive_mark)``;
+    consecutive steps must chain (each step's ``w`` is the next step's
+    ``v``). Each step must instantiate an actual edge: (TAIL, HEAD) needs
+    ``v -> w``, (HEAD, TAIL) needs ``w -> v``, (HEAD, HEAD) needs
+    ``v <-> w``. The walk list is the definition made concrete.
+    """
+    c = frozenset(given)
+    steps = list(walk)
+    if not steps:
+        return False
+    for (v, dm, w, am) in steps:
+        _check_node(g, v)
+        _check_node(g, w)
+        if (dm, am) == (TAIL, HEAD):
+            ok = (v, w) in g.directed
+        elif (dm, am) == (HEAD, TAIL):
+            ok = (w, v) in g.directed
+        elif (dm, am) == (HEAD, HEAD):
+            ok = g.has_bidirected(v, w) if v != w else False
+        else:
+            ok = False
+        if not ok:
+            raise GraphError(f"step {(v, dm, w, am)} does not instantiate an edge")
+    for prev, nxt in zip(steps, steps[1:]):
+        if prev[2] != nxt[0]:
+            raise GraphError("walk steps do not chain")
+
+    source = steps[0][0]
+    if source in c:
+        return False
+    if steps[-1][3] != HEAD:
+        return False
+    anc = ancestors(g, c)
+    for prev, nxt in zip(steps, steps[1:]):
+        node = prev[2]
+        arrive, depart = prev[3], nxt[1]
+        if arrive == HEAD and depart == HEAD:
+            if node not in anc:
+                return False
+        elif node in c:
+            return False
+    return True
+
+
+def _bf_connecting_targets(g: DirectedMixedGraph, source: int,
+                           given: frozenset, stop: frozenset) -> frozenset:
+    """Targets reachable from ``source`` by a connecting walk, exhaustively.
+
+    Depth-first enumeration of all walks whose (node, arrival-mark) states
+    are pairwise distinct. That restriction loses nothing: a connecting
+    walk that revisits a state can be spliced at the repeat (the departure
+    taken at the second visit is equally legal at the first), so a minimal
+    connecting walk never repeats a state, which also bounds its length by
+    two edges per node. Constraints are applied per occurrence, exactly as
+    the definition states them; every head arrival marks a complete
+    connecting walk ending there.
+    """
+    moves = move_table(g)
+    anc = ancestors(g, given)
+    found = set()
+
+    def rec(v, mark, used):
+        if found >= stop:
+            return
+        for dm, w, am in moves[v]:
+            if mark == HEAD and dm == HEAD:
+                if v not in anc:
+                    continue
+            elif v in given:
+                continue
+            state = (w, am)
+            if state in used:
+                continue
+            if am == HEAD:
+                found.add(w)
+            used.add(state)
+            rec(w, am, used)
+            used.discard(state)
+
+    for _, w, am in moves[source]:
+        if am == HEAD:
+            found.add(w)
+        if found >= stop:
+            break
+        rec(w, am, {(w, am)})
+    return frozenset(found)
+
+
+def brute_force_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) -> bool:
+    """Walk-enumeration reference for ``mu_separated`` on small graphs.
+
+    Refuses graphs above ``BRUTE_FORCE_NODE_CAP`` nodes.
+    """
+    if g.n > BRUTE_FORCE_NODE_CAP:
+        raise GraphError(
+            f"brute force capped at {BRUTE_FORCE_NODE_CAP} nodes, graph has {g.n}")
+    a, b, c = (_node_subset(g, s) for s in (sources, targets, given))
+    if not a or not b:
+        raise GraphError("source and target sets must be nonempty")
+    for v in sorted(a - c):
+        if _bf_connecting_targets(g, v, c, stop=b) & b:
+            return False
+    return True
+
+
+def directed_trek_exists(g: DirectedMixedGraph, src: int, dst: int) -> bool:
+    """Is there a trek from ``src`` to ``dst`` whose last edge points into ``dst``?
+
+    A trek is a path (no repeated nodes, so loops never participate) with no
+    colliders. Such a path is a directed path out of a common source node,
+    optionally with a single bidirected edge at the top:
+    ``src <- .. <- s -> .. -> dst`` or ``src <- .. u <-> v .. -> dst``.
+    It is directed into ``dst`` when the leg toward ``dst`` is nonempty or
+    the bidirected edge sits at ``dst`` itself. There is no trek from a node
+    to itself.
+
+    The two legs must be node-disjoint apart from the shared top, which is
+    decided exactly with a small unit-capacity flow.
+    """
+    src = _check_node(g, src)
+    dst = _check_node(g, dst)
+    if src == dst:
+        return False
+    anc_src = ancestors(g, {src})
+    anc_dst = ancestors(g, {dst})
+    if src in anc_dst:
+        return True  # a directed path src -> dst is itself a trek
+    for s in sorted((anc_src & anc_dst) - {src, dst}):
+        if _two_disjoint_paths(g, [("out", s, 2)], src, dst):
+            return True
+    for a, b in sorted(g.bidirected):
+        if not ((a in anc_src and b in anc_dst) or (b in anc_src and a in anc_dst)):
+            continue
+        if _two_disjoint_paths(g, [("in", a, 1), ("in", b, 1)], src, dst):
+            return True
+    return False
+
+
+def _two_disjoint_paths(g: DirectedMixedGraph, source_arcs, src: int, dst: int) -> bool:
+    """Unit-capacity max-flow check for two node-disjoint directed paths.
+
+    Each graph node v is split into v_in -> v_out with capacity 1; each
+    non-loop directed edge t -> h becomes t_out -> h_in. The sinks are
+    src_out and dst_out (capacity 1 each), so the two paths must end at
+    src and dst, one each, and cannot pass through either endpoint.
+    ``source_arcs`` selects where the paths may start: ("out", s, 2) lets
+    both start at s sharing only s; ("in", u, 1) starts one path at u and
+    charges u's capacity so the other path cannot touch u.
+    """
+    S, T = -1, -2
+
+    def vin(v):
+        return 2 * v
+
+    def vout(v):
+        return 2 * v + 1
+
+    cap = {}
+    adj = {}
+
+    def add(u, v, c):
+        cap[(u, v)] = cap.get((u, v), 0) + c
+        cap.setdefault((v, u), 0)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+
+    for v in g.nodes:
+        add(vin(v), vout(v), 1)
+    for t, h in g.nonloop_directed:
+        add(vout(t), vin(h), 1)
+    add(vout(src), T, 1)
+    add(vout(dst), T, 1)
+    for kind, v, c in source_arcs:
+        add(S, vin(v) if kind == "in" else vout(v), c)
+
+    flow = 0
+    while flow < 2:
+        prev = {S: None}
+        queue = deque([S])
+        while queue and T not in prev:
+            u = queue.popleft()
+            for v in adj.get(u, ()):
+                if v not in prev and cap.get((u, v), 0) > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if T not in prev:
+            return False
+        v = T
+        while prev[v] is not None:
+            u = prev[v]
+            cap[(u, v)] -= 1
+            cap[(v, u)] += 1
+            v = u
+        flow += 1
+    return True
+
+
 def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) -> bool:
     """Breadth-first search over (node, arrival-mark) tuples, without compilation.
 
@@ -88,13 +335,7 @@ def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) ->
     if not starts:
         return True
     anc = ancestors(g, c)
-    moves = {v: [] for v in g.nodes}
-    for t, h in g.directed:
-        moves[t].append((TAIL, h, HEAD))
-        moves[h].append((HEAD, t, TAIL))
-    for x, y in g.bidirected:
-        moves[x].append((HEAD, y, HEAD))
-        moves[y].append((HEAD, x, HEAD))
+    moves = move_table(g)
 
     seen = set()
     queue = deque()
@@ -358,6 +599,23 @@ def reference_ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixe
     return DirectedMixedGraph(len(labels), directed, bidirected, labels=labels)
 
 
+def reference_degree_weights(g: DirectedMixedGraph, exponent: float = 1.0) -> dict:
+    """Degree weights by walking every non-loop directed and bidirected edge.
+
+    The count ``connectome.degree_weights`` made before it read the
+    adjacency maps; for a finite exponent whose weights stay finite both
+    return the same dict.
+    """
+    deg = {v: 0 for v in g.nodes}
+    for a, b in g.nonloop_directed:
+        deg[a] += 1
+        deg[b] += 1
+    for a, b in g.bidirected:
+        deg[a] += 1
+        deg[b] += 1
+    return {v: (1.0 + d) ** exponent for v, d in deg.items()}
+
+
 def reference_subsample(g: DirectedMixedGraph, m: int, seed: int, *,
                         weight_exponent: float = 1.0) -> tuple:
     """Weighted draws as a running total over the remaining nodes, node by node.
@@ -366,7 +624,7 @@ def reference_subsample(g: DirectedMixedGraph, m: int, seed: int, *,
     """
     if not 1 <= m <= g.n:
         raise GraphError(f"sample size {m} not in [1, {g.n}]")
-    weights = degree_weights(g, weight_exponent)
+    weights = reference_degree_weights(g, weight_exponent)
     rng = np.random.Generator(np.random.PCG64(seed))
     remaining = list(g.nodes)
     chosen = []

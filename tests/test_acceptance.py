@@ -22,10 +22,8 @@ from causalscreen import (
     SoundnessViolation,
     aggregate,
     bench_run,
-    brute_force_mu_separated,
     canonical_dg,
     directed_part,
-    directed_trek_exists,
     excess_edges,
     latent_projection,
     mu_separated,
@@ -40,7 +38,7 @@ from causalscreen import (
 from causalscreen.cli import main as cli_main
 from conftest import DEMO_EDGES, DEMO_LABELS, DEMO_OBS
 import helpers
-from helpers import powerset, random_observed
+from helpers import brute_force_mu_separated, directed_trek_exists, powerset, random_observed
 
 SEED = 20250819
 ALGOS = ("cs", "csapc", "csap", "ca")

@@ -295,6 +295,18 @@ class TestFailuresEndAsErrors:
         assert rc == 2
         assert "error: topk must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exponent, message", [
+        ("nan", "weight exponent must be finite, got nan"),
+        ("inf", "weight exponent must be finite, got inf"),
+        ("1000", "weight exponent 1000.0 overflows the degree weights"),
+        ("-1000", "weight exponent -1000.0 leaves fewer than 5 nodes with a nonzero weight"),
+    ])
+    def test_bad_weight_exponent(self, synapse_file, capsys, exponent, message):
+        rc = main(["connectome", "--file", synapse_file, "--sample", "5",
+                   "--weight-exponent", exponent])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_event_cap(self, model_file, capsys):
         rc = main(["simulate", "--model", model_file, "--max-events", "1"])
         assert rc == 2

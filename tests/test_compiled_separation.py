@@ -2,13 +2,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalscreen import (
-    DirectedMixedGraph,
+from causalscreen import DirectedMixedGraph, mu_separated
+from helpers import (
     brute_force_mu_separated,
     directed_trek_exists,
-    mu_separated,
+    powerset,
+    random_corpus,
+    reference_mu_separated,
+    sparse_dmg,
 )
-from helpers import powerset, random_corpus, reference_mu_separated, sparse_dmg
 
 # Sorted, gapped ids: the compiled form renumbers them to 0..N-1.
 SPARSE_IDS = (3, 17, 1000, 1001, 40_000, 10**9)

@@ -14,11 +14,18 @@ from causalscreen import (
     DirectedMixedGraph,
     GraphError,
     degree_weights,
+    indegrees,
     ingest_connectome,
+    outdegrees,
     run_connectome,
     subsample,
 )
-from helpers import reference_ingest_connectome, reference_subsample, sparse_dmg
+from helpers import (
+    reference_degree_weights,
+    reference_ingest_connectome,
+    reference_subsample,
+    sparse_dmg,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,8 +203,45 @@ class TestSubsample:
     @settings(max_examples=150)
     def test_matches_running_total_loop(self, g, seed, exponent, data):
         m = data.draw(st.integers(1, g.n))
+        if not math.isfinite(exponent):
+            with pytest.raises(ValueError, match="weight exponent must be finite"):
+                subsample(g, m, seed, weight_exponent=exponent)
+            return
         assert (subsample(g, m, seed, weight_exponent=exponent)
                 == reference_subsample(g, m, seed, weight_exponent=exponent))
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_is_rejected(self, exponent):
+        # the spec rejects it before ingest; degree_weights for direct callers
+        with pytest.raises(ValueError, match="weight exponent must be finite"):
+            ConnectomeSpec(weight_exponent=exponent)
+        with pytest.raises(ValueError, match="weight exponent must be finite"):
+            degree_weights(self.G, exponent)
+
+    def test_overflowing_exponent_is_rejected(self):
+        # (1 + 3) ** 1000 overflows a float; the error names the exponent
+        with pytest.raises(ValueError, match="weight exponent 1000.0 overflows"):
+            subsample(self.G, 2, 0, weight_exponent=1000.0)
+        # each weight 3.0 ** 646 is finite, their total is not
+        triangle = DirectedMixedGraph(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(ValueError, match="weight exponent 646.0 overflows"):
+            subsample(triangle, 1, 0, weight_exponent=646.0)
+
+    def test_underflowing_exponent_is_rejected(self):
+        # (1 + 1) ** -1075 is 0.0 while (1 + 1) ** -1074 is not: with that
+        # exponent only node 3 (degree 1) keeps a nonzero weight
+        assert subsample(self.G, 1, 0, weight_exponent=-1074.0) == (3,)
+        with pytest.raises(ValueError, match="weight exponent -1074.0 leaves fewer than 2 nodes"):
+            subsample(self.G, 2, 0, weight_exponent=-1074.0)
+
+    @given(sparse_dmg(), st.sampled_from((0.0, 1.0, 2.5, -1.0)))
+    @settings(max_examples=200)
+    def test_degrees_match_edge_walk(self, g, exponent):
+        assert degree_weights(g, exponent) == reference_degree_weights(g, exponent)
+        assert indegrees(g) == {v: sum(1 for t, h in g.nonloop_directed if h == v)
+                                for v in g.nodes}
+        assert outdegrees(g) == {v: sum(1 for t, h in g.nonloop_directed if t == v)
+                                 for v in g.nodes}
 
 
 class TestPipeline:

@@ -13,13 +13,13 @@ from causalscreen import (
     ancestors,
     canonical_dg,
     directed_part,
-    directed_trek_exists,
     latent_projection,
     parent_graph,
 )
 from conftest import DEMO_OBS
 from helpers import (
     descendant_closure,
+    directed_trek_exists,
     enumerate_trek_into,
     graph_strategy,
     random_corpus,

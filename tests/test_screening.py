@@ -8,18 +8,22 @@ from causalscreen import (
     GraphicalOracle,
     ancestry_propagation,
     ancestry_propagation_cheap,
-    brute_force_mu_separated,
     canonical_dg,
     excess_edges,
     parent_graph,
     parent_step,
     run,
     trek_step,
-    walk_is_mu_connecting,
 )
 from causalscreen.separation import HEAD, TAIL
 from conftest import DEMO_OBS
-from helpers import powerset, random_corpus, random_observed
+from helpers import (
+    brute_force_mu_separated,
+    powerset,
+    random_corpus,
+    random_observed,
+    walk_is_mu_connecting,
+)
 
 
 def nonloop(g):

@@ -12,13 +12,17 @@ from causalscreen import (
     GraphError,
     GraphicalOracle,
     SeparationQuery,
-    brute_force_mu_separated,
-    directed_trek_exists,
     mu_separated,
-    walk_is_mu_connecting,
 )
 from causalscreen.separation import HEAD, TAIL
-from helpers import graph_strategy, powerset, random_corpus
+from helpers import (
+    brute_force_mu_separated,
+    directed_trek_exists,
+    graph_strategy,
+    powerset,
+    random_corpus,
+    walk_is_mu_connecting,
+)
 
 
 class TestMuSeparated:
