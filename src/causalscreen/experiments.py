@@ -248,6 +248,8 @@ def bench_run(cfg: CorpusConfig, algorithms: Iterable, *,
         raise ValueError("need at least one algorithm")
     if not 0.0 <= latent_fraction < 1.0:
         raise ValueError("latent fraction must lie in [0, 1)")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     indices = range(cfg.count)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

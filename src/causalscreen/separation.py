@@ -26,9 +26,19 @@ The search runs over (node, arrival-mark) states, which is sound because
 the walk constraints at an occurrence depend only on that state and the
 chosen departure. Each graph is compiled once into an int-state form (see
 ``_Compiled``) that every later query reuses. A query's node ids become
-search states by one lookup in that form's index, and the lookup is the
-query's validation: an id is valid exactly when it is a key there, so ints
-and numpy ints pass and ``1.5`` or ``"1"`` raise :class:`GraphError`.
+search states by one lookup each in that form's maps (node index for the
+sources and conditioning set, head state for the targets), and the lookup
+is the query's validation: an id is valid exactly when it is a key there,
+so ints and numpy ints pass and ``1.5`` or ``"1"`` raise
+:class:`GraphError`.
+
+The set of states reachable from ``A`` given ``C`` does not depend on the
+targets, so the search is an object that can pause and resume (see
+``_Search``): it stops at the first target it reaches, and a later query
+with the same ``A`` and ``C`` answers from the states already seen or
+resumes where it stopped. :func:`mu_separated` runs a fresh search per
+call; :class:`GraphicalOracle` keeps one per (sources, conditioning set).
+
 The walk-level checkers that cross-validate the search against the
 definition (walk enumeration, a single-walk check) are test code and live
 in ``tests/helpers.py``.
@@ -37,7 +47,6 @@ in ``tests/helpers.py``.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -62,7 +71,8 @@ class _Compiled:
     """Int-state form of one graph, answering separation by reachability.
 
     Nodes are renumbered to ``0..N-1`` in sorted id order, and a walk state
-    (node ``i``, arrival mark ``m``) becomes the int ``2*i + m``. Per node
+    (node ``i``, arrival mark ``m``) becomes the int ``2*i + m``; ``index``
+    maps each id to ``i`` and ``head`` maps it to its head state. Per node
     there are three successor tuples over those states, read off the
     graph's adjacency maps: departures by head (to each parent, arriving by
     tail, and to each sibling, arriving by head), departures by tail (to
@@ -75,10 +85,11 @@ class _Compiled:
     fill the same mask at once store equal values.
     """
 
-    __slots__ = ("index", "head_out", "tail_out", "all_out", "parents", "anc")
+    __slots__ = ("index", "head", "head_out", "tail_out", "all_out", "parents", "anc")
 
     def __init__(self, g: DirectedMixedGraph):
         self.index = index = {v: i for i, v in enumerate(g.nodes)}
+        self.head = {v: 2 * i + HEAD for v, i in index.items()}
         parents, children, siblings = g._parents, g._children, g._siblings
         head_out, tail_out, par = [], [], []
         for v in g.nodes:
@@ -123,6 +134,107 @@ def _compiled(g: DirectedMixedGraph) -> _Compiled:
 # Seen-set entry that marks a head arrival at a target.
 _TARGET = 2
 
+_EMPTY_QUERY = "source and target sets must be nonempty"
+
+
+def _lookup(index: dict, nodes) -> set:
+    """``index``'s values for ``nodes``; an id that is not a key is unknown."""
+    try:
+        return {index[v] for v in nodes}
+    except KeyError as exc:
+        raise GraphError(f"unknown nodes {[exc.args[0]]}") from None
+
+
+class _Search:
+    """Breadth-first search of the states reachable from A given C, paused at will.
+
+    ``seen`` marks every state discovered so far, and ``queue`` lists them
+    in discovery order, of which the first ``done`` are expanded. Neither
+    depends on the targets: a state's successors depend only on the state,
+    C and anc(C), both kept as bitmasks over the renumbered nodes. So one
+    search serves every target set queried with the same A and C.
+    :meth:`reaches` answers from ``seen`` when it can and otherwise resumes
+    the search, stopping at the first target state it discovers. At every
+    pause all successors of each expanded state are in ``seen``, so the
+    search can resume for the next target set.
+    """
+
+    __slots__ = ("form", "cmask", "anc", "seen", "queue", "done")
+
+    def __init__(self, form: _Compiled, a: set, cs: set):
+        masks = form.anc
+        cmask = anc = 0
+        for i in cs:
+            cmask |= 1 << i
+            anc |= masks[i] or form.ancestor_mask(i)
+        self.form = form
+        self.cmask = cmask
+        self.anc = anc
+        self.seen = seen = bytearray(2 * len(form.index))
+        # A source departs freely, as from a tail arrival outside C.
+        self.queue = queue = []
+        self.done = 0
+        for i in a - cs:
+            s = 2 * i + TAIL
+            seen[s] = 1
+            queue.append(s)
+
+    def reaches(self, heads: set) -> bool:
+        """True when a state in ``heads`` (head arrivals at targets) is reachable."""
+        seen = self.seen
+        for t in heads:
+            if seen[t]:
+                return True
+        queue, k = self.queue, self.done
+        if k == len(queue):
+            return False
+        for t in heads:
+            seen[t] = _TARGET
+        form, cmask, anc = self.form, self.cmask, self.anc
+        head_out, tail_out, all_out = form.head_out, form.tail_out, form.all_out
+        push = queue.append
+        hit = False
+        while k < len(queue):
+            s = queue[k]
+            k += 1
+            v = s >> 1
+            if cmask >> v & 1:
+                # a noncollider must avoid C; a collider in C is in anc(C)
+                if s & HEAD:
+                    succ = head_out[v]
+                else:
+                    continue
+            elif s & HEAD and not anc >> v & 1:
+                succ = tail_out[v]   # collider must be an ancestor of C
+            else:
+                succ = all_out[v]
+            for w in succ:
+                mark = seen[w]
+                if not mark:
+                    seen[w] = 1
+                    push(w)
+                elif mark == _TARGET:
+                    # discovered like any state, so the paused search stays whole
+                    seen[w] = 1
+                    push(w)
+                    hit = True
+            if hit:
+                break
+        self.done = k
+        for t in heads:
+            if seen[t] == _TARGET:
+                seen[t] = 0
+        return hit
+
+
+def _fresh_search(form: _Compiled, sources, targets, given) -> tuple:
+    """A fresh search from ``sources`` given ``given``, and the targets' head states."""
+    index = form.index
+    a, b, cs = _lookup(index, sources), _lookup(form.head, targets), _lookup(index, given)
+    if not a or not b:
+        raise GraphError(_EMPTY_QUERY)
+    return _Search(form, a, cs), b
+
 
 def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
                  targets: Iterable[int], given: Iterable[int] = ()) -> bool:
@@ -130,7 +242,7 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
 
     Searches the (node, arrival-mark) states of the graph's compiled form;
     reaching a head arrival at a node of ``targets`` witnesses a
-    connecting walk.
+    connecting walk. Each call runs a fresh search and keeps nothing.
 
     >>> g = DirectedMixedGraph(3, directed=[(0, 1), (1, 2)])
     >>> mu_separated(g, {0}, {2}, {1})
@@ -138,59 +250,17 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     >>> mu_separated(g, {0}, {2})
     False
     """
-    form = _compiled(g)
-    index = form.index
-    try:
-        a = {index[v] for v in sources}
-        b = {index[v] for v in targets}
-        cs = {index[v] for v in given}
-    except KeyError as exc:
-        raise GraphError(f"unknown nodes {[exc.args[0]]}") from None
-    if not a or not b:
-        raise GraphError("source and target sets must be nonempty")
-    starts = a - cs
-    if not starts:
-        return True
-    head_out, tail_out, all_out = form.head_out, form.tail_out, form.all_out
-    masks = form.anc
-    anc = 0
-    for i in cs:
-        anc |= masks[i] or form.ancestor_mask(i)
-
-    seen = bytearray(2 * len(index))
-    for i in b:
-        seen[2 * i + HEAD] = _TARGET
-    # A source departs freely, as from a tail arrival outside C.
-    queue = deque()
-    for i in starts:
-        s = 2 * i + TAIL
-        seen[s] = 1
-        queue.append(s)
-    push, pop = queue.append, queue.popleft
-    while queue:
-        s = pop()
-        v = s >> 1
-        if v in cs:
-            # a noncollider must avoid C; a collider in C is in anc(C)
-            if s & HEAD:
-                succ = head_out[v]
-            else:
-                continue
-        elif s & HEAD and not anc >> v & 1:
-            succ = tail_out[v]   # collider must be an ancestor of C
-        else:
-            succ = all_out[v]
-        for w in succ:
-            mark = seen[w]
-            if not mark:
-                seen[w] = 1
-                push(w)
-            elif mark == _TARGET:
-                return False
-    return True
+    search, b = _fresh_search(_compiled(g), sources, targets, given)
+    return not search.reaches(b)
 
 
 # -- the local-independence oracle ----------------------------------------
+
+# Paused searches one oracle keeps before it drops them all and starts
+# again; each takes about 1 KB on small graphs. CA on n observed nodes asks
+# n * 2**(n-1) (sources, conditioning set) pairs but reuses only those of
+# the source it is on, so the bound caps memory and costs CA little reuse.
+_MAX_SEARCHES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -215,8 +285,19 @@ class GraphicalOracle:
     observed set, which has the same separation statements among observed
     nodes and only those nodes (the truth itself when nothing is hidden).
     The projection is all the oracle keeps of the truth: its node set is
-    the observed set, it carries the truth's labels, and
-    :func:`mu_separated` on it is the one place a query is validated.
+    the observed set, it carries the truth's labels, and the lookup of a
+    query's ids in its compiled index is the one place a query is
+    validated.
+
+    Besides the projection, its call counter and the optional log, the
+    oracle keeps one paused search per (sources, conditioning set) it has
+    been asked about. CA asks the same sources and conditioning set for
+    every target, so a repeat answers from the states that search already
+    reached, or resumes it. A repeat validates only its targets, as the
+    sources and conditioning set were validated when the search was made.
+    The searches are freed with the oracle, or all at once when there are
+    ``_MAX_SEARCHES`` of them. The oracle's lock serializes queries, so one
+    oracle can be shared across threads.
 
     Parameters
     ----------
@@ -231,6 +312,8 @@ class GraphicalOracle:
     def __init__(self, truth: DirectedMixedGraph, observed=None, *,
                  keep_log: bool = False):
         self._graph = latent_projection(truth, truth.node_set if observed is None else observed)
+        self._form = _compiled(self._graph)
+        self._searches: dict = {}
         self._calls = 0
         self._lock = threading.Lock()
         self._log = [] if keep_log else None
@@ -252,14 +335,27 @@ class GraphicalOracle:
 
     def query(self, sources, targets, given=()) -> bool:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
+        # Freeze what is read twice, so one-shot iterators work: sources and
+        # given make the memo key and seed the search; the log keeps targets.
+        sources, given = frozenset(sources), frozenset(given)
         if self._log is not None:
-            # freeze once, so one-shot iterators reach both search and log
-            sources, targets, given = (frozenset(s) for s in (sources, targets, given))
-        answer = mu_separated(self._graph, sources, targets, given)
+            targets = frozenset(targets)
+        key = (sources, given)
         with self._lock:
+            search = self._searches.get(key)
+            if search is None:
+                search, b = _fresh_search(self._form, sources, targets, given)
+                if len(self._searches) >= _MAX_SEARCHES:
+                    self._searches.clear()
+                self._searches[key] = search
+            else:
+                b = _lookup(self._form.head, targets)
+                if not b:
+                    raise GraphError(_EMPTY_QUERY)
+            answer = not search.reaches(b)
             self._calls += 1
-        if self._log is not None:
-            self._log.append(SeparationQuery(sources, targets, given, answer))
+            if self._log is not None:
+                self._log.append(SeparationQuery(sources, targets, given, answer))
         return answer
 
     def export_log_csv(self, fh: TextIO) -> None:

@@ -52,6 +52,22 @@ def powerset(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
+def ca_queries(nodes) -> list:
+    """CA's queries on ``nodes`` in CA order, none skipped.
+
+    Every ordered pair (a, b), lexicographically, asked against every
+    subset of the nodes other than a, by size and then lexicographically:
+    the queries CA would ask if no answer were ever independent.
+    """
+    nodes = sorted(nodes)
+    out = []
+    for a in nodes:
+        rest = [v for v in nodes if v != a]
+        for b in rest:
+            out.extend(({a}, {b}, c) for c in powerset(rest))
+    return out
+
+
 def enumerate_trek_into(g: DirectedMixedGraph, src: int, dst: int) -> bool:
     """Decide a directed trek by brute enumeration of colliderless simple paths.
 

@@ -307,6 +307,14 @@ class TestFailuresEndAsErrors:
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads(self, capsys, threads):
+        rc = main(TestBench.ARGS + ["--threads", threads])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"error: threads must be >= 1, got {threads}" in captured.err
+        assert captured.out == ""
+
     def test_event_cap(self, model_file, capsys):
         rc = main(["simulate", "--model", model_file, "--max-events", "1"])
         assert rc == 2

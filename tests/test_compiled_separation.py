@@ -1,10 +1,12 @@
-"""The compiled separation search against the uncompiled reference search."""
+"""The compiled separation search against the uncompiled reference search,
+run fresh by ``mu_separated`` and paused and resumed by the oracle."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalscreen import DirectedMixedGraph, mu_separated
+from causalscreen import DirectedMixedGraph, GraphicalOracle, mu_separated
 from helpers import (
     brute_force_mu_separated,
+    ca_queries,
     directed_trek_exists,
     powerset,
     random_corpus,
@@ -65,3 +67,47 @@ def test_trek_duality_on_sparse_ids():
         for a in g.nodes:
             for b in g.nodes:
                 assert directed_trek_exists(g, a, b) == (not mu_separated(g, {a}, {b}, {b}))
+
+
+@st.composite
+def truth_and_observed(draw):
+    truth = draw(sparse_dmg(max_n=8))
+    observed = draw(st.sets(st.sampled_from(truth.nodes), min_size=min(2, truth.n), max_size=5))
+    return truth, sorted(observed)
+
+
+@given(truth_and_observed(), st.data())
+@settings(max_examples=60)
+def test_memoized_oracle_matches_reference(case, data):
+    """Paused searches resumed in any order answer as a fresh reference search.
+
+    The reference runs on the truth, hidden nodes included; the oracle on
+    its projection. One oracle per query stream, so its searches carry over
+    between the stream's queries.
+    """
+    truth, observed = case
+    nodes = st.sampled_from(observed)
+    ca = ca_queries(observed)
+    csap = [({a}, {c}, ()) for a in observed for b in observed for c in observed
+            if len({a, b, c}) == 3]
+    mixed = data.draw(st.lists(
+        st.tuples(st.sets(nodes, min_size=1, max_size=3),
+                  st.sets(nodes, min_size=1, max_size=3),
+                  st.sets(nodes, max_size=3)),
+        max_size=12))
+    streams = (
+        ca,
+        data.draw(st.permutations(ca)),
+        ca + ca,
+        csap + ca + csap,
+        data.draw(st.permutations(mixed + csap + mixed + ca[:40])),
+    )
+    want = {}
+    for queries in streams:
+        oracle = GraphicalOracle(truth, observed)
+        for a, b, c in queries:
+            key = (frozenset(a), frozenset(b), frozenset(c))
+            if key not in want:
+                want[key] = reference_mu_separated(truth, a, b, c)
+            assert oracle.query(a, b, c) == want[key], key
+        assert oracle.calls == len(queries)

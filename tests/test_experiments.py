@@ -173,6 +173,11 @@ class TestBenchRun:
         threaded = bench_run(self.CFG, ("cs", "csap"), threads=3)
         assert serial == threaded
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_threads_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            bench_run(self.CFG, ("cs",), threads=threads)
+
     def test_timing_flag_populates_ms(self):
         rows = bench_run(self.CFG, ("cs",), timing=True)
         assert all(row.ms > 0.0 for row in rows)

@@ -5,7 +5,9 @@ every algorithm under lexicographic and seeded random pair order. One
 SHA-256 covers, per run, the learned graph, the sorted certificates, the
 trace, ``oracle_calls`` and the oracle's query log (sources, targets,
 given and answer, in issue order). Any change to which queries are asked,
-in what order, or what is concluded from them moves the digest.
+in what order, or what is concluded from them moves the digest. The same
+runs against oracles without a log, the path the benchmark takes, must
+reach the same graphs, certificates, traces and call counts.
 """
 import hashlib
 import json
@@ -30,7 +32,7 @@ def _observed(i):
     return tuple(v for v in range(CORPUS.n) if v not in hidden)
 
 
-def _run_doc(res, oracle):
+def _result_doc(res):
     g = res.graph
     return {
         "graph": [list(g.nodes), list(g.labels()), sorted(map(list, g.directed)),
@@ -38,23 +40,43 @@ def _run_doc(res, oracle):
         "certificates": sorted([list(e), sorted(c)] for e, c in res.certificates.items()),
         "trace": [[list(t.edge), t.action, t.stage] for t in res.trace],
         "oracle_calls": res.oracle_calls,
+    }
+
+
+def _run_doc(res, oracle):
+    return {
+        **_result_doc(res),
         "log": [[sorted(q.sources), sorted(q.targets), sorted(q.given), q.independent]
                 for q in oracle.log],
     }
 
 
-def screening_digest():
-    docs = []
+def _runs():
+    """(truth, observed, algorithm, order) of every golden run."""
     for i in range(CORPUS.count):
         truth = random_dmg(CORPUS, i)
         observed = _observed(i)
         for algo in ALGORITHMS:
             for order in ORDERS:
-                oracle = GraphicalOracle(truth, observed, keep_log=True)
-                docs.append(_run_doc(run(algo, oracle, **order), oracle))
+                yield truth, observed, algo, order
+
+
+def screening_digest():
+    docs = []
+    for truth, observed, algo, order in _runs():
+        oracle = GraphicalOracle(truth, observed, keep_log=True)
+        docs.append(_run_doc(run(algo, oracle, **order), oracle))
     text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_screening_golden_digest():
     assert screening_digest() == GOLDEN
+
+
+def test_unlogged_runs_match_logged_runs():
+    """The benchmark's path: an oracle without a log decides exactly the same."""
+    for truth, observed, algo, order in _runs():
+        logged = run(algo, GraphicalOracle(truth, observed, keep_log=True), **order)
+        unlogged = run(algo, GraphicalOracle(truth, observed), **order)
+        assert _result_doc(unlogged) == _result_doc(logged), (algo, order)

@@ -1,5 +1,7 @@
 """Walk-based separation: the search, the walk checker, the oracle."""
 import io
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,9 +16,12 @@ from causalscreen import (
     SeparationQuery,
     mu_separated,
 )
+from causalscreen import separation
 from causalscreen.separation import HEAD, TAIL
+from causalscreen.experiments import CorpusConfig, random_dmg
 from helpers import (
     brute_force_mu_separated,
+    ca_queries,
     directed_trek_exists,
     graph_strategy,
     powerset,
@@ -197,6 +202,42 @@ class TestOracle:
         assert oracle.log == (SeparationQuery(frozenset({0}), frozenset({2}),
                                               frozenset({1}), True),)
 
+    def test_unlogged_query_reads_one_shot_iterators_once(self, chain3):
+        # the first query builds the search for ({0}, {1}), the others reuse it
+        oracle = GraphicalOracle(chain3)
+        assert oracle.query(iter([0]), iter([2]), iter([1])) is True
+        assert oracle.query(iter([0]), iter([1]), iter([1])) is False
+        assert oracle.query(iter([0]), iter([2]), iter([1])) is True
+        assert oracle.query({0}, {1, 2}, (1,)) is False
+        assert oracle.calls == 4
+
+    def test_repeat_sources_and_given_still_validate_targets(self, chain3):
+        bad_targets = (({2}, "unknown nodes [2]"), ({"1"}, "unknown nodes ['1']"),
+                       ({1.5}, "unknown nodes [1.5]"),
+                       (set(), "source and target sets must be nonempty"))
+        for targets, message in bad_targets:
+            fresh = GraphicalOracle(chain3, observed=(0, 1))
+            with pytest.raises(GraphError) as first:
+                fresh.query({0}, targets, ())
+            oracle = GraphicalOracle(chain3, observed=(0, 1))
+            assert oracle.query({0}, {1}, ()) is False
+            with pytest.raises(GraphError) as repeat:
+                oracle.query({0}, targets, ())
+            assert str(repeat.value) == str(first.value) == message
+            assert fresh.calls == 0 and oracle.calls == 1
+            assert oracle.query({0}, {0}, ()) is False
+            assert oracle.calls == 2
+
+    def test_search_bound_drops_searches_not_answers(self, monkeypatch):
+        monkeypatch.setattr(separation, "_MAX_SEARCHES", 3)
+        truth = random_dmg(CorpusConfig(5, 0.4, 0.3, 1, 8), 0)
+        queries = ca_queries(truth.nodes)
+        oracle = GraphicalOracle(truth)
+        for a, b, c in queries:
+            assert oracle.query(a, b, c) == mu_separated(truth, a, b, c)
+            assert len(oracle._searches) <= 3
+        assert oracle.calls == len(queries)
+
     def test_log_disabled_by_default(self, chain3):
         assert GraphicalOracle(chain3).log is None
 
@@ -225,3 +266,30 @@ class TestOracle:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(hammer, range(8)))
         assert oracle.calls == 400
+
+    def test_shared_oracle_answers_ca_queries_from_four_threads(self):
+        truth = random_dmg(CorpusConfig(7, 0.3, 0.2, 1, 5), 0)
+        queries = ca_queries(truth.nodes)
+        assert len(queries) == 42 * 64
+        single = GraphicalOracle(truth)
+        want = [single.query(*q) for q in queries]
+
+        def ask(oracle, seed):
+            order = list(range(len(queries)))
+            random.Random(seed).shuffle(order)
+            got = {k: oracle.query(*queries[k]) for k in order}
+            return [got[k] for k in range(len(queries))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # fresh shared oracles, so that each round races on new searches
+            for rnd in range(8):
+                shared = GraphicalOracle(truth)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(ask, shared, 4 * rnd + k) for k in range(4)]
+                    for f in futures:
+                        assert f.result(timeout=120) == want
+                assert shared.calls == 4 * len(queries)
+        finally:
+            sys.setswitchinterval(interval)
