@@ -3,9 +3,9 @@
 Subcommands: ``learn`` (screen a graph through the separation oracle),
 ``simulate`` (sample a Hawkes trajectory), ``bench`` (random-graph
 sweeps), ``connectome`` (ingest/subsample/screen a synapse table), and
-``musep`` (one-off separation query). Global flags ``--seed``,
-``--threads``, and ``--format csv|json`` are accepted before or after the
-subcommand name.
+``musep`` (one-off separation query). Global flags ``--seed`` and
+``--format csv|json`` are accepted before or after the subcommand name;
+``--threads`` is an option of ``bench`` alone.
 
 All writers are deterministic: JSON is emitted with sorted keys, CSV rows
 in a fixed order, floats through repr, no timestamps. Rerunning a command
@@ -62,15 +62,15 @@ def _split_labels(raw: str) -> list:
 
 
 def _resolve_nodes(g: DirectedMixedGraph, tokens: Sequence[str]) -> list:
+    by_label = dict(zip(g.labels(), g.nodes))
     out = []
     for tok in tokens:
-        try:
-            out.append(g.node_by_label(tok))
-        except GraphError:
-            if tok.isdigit() and int(tok) in g.node_set:
-                out.append(int(tok))
-            else:
-                raise GraphError(f"unknown node {tok!r}") from None
+        if tok in by_label:
+            out.append(by_label[tok])
+        elif tok.isdigit() and int(tok) in g.node_set:
+            out.append(int(tok))
+        else:
+            raise GraphError(f"unknown node {tok!r}")
     return out
 
 
@@ -226,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="base RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for replicate sweeps (default 1)")
     common.add_argument("--format", choices=["csv", "json"],
                         default=argparse.SUPPRESS,
                         help="output format where applicable (default csv)")
@@ -279,6 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated algorithms to compare")
     p.add_argument("--latent-fraction", type=float, default=0.0,
                    help="fraction of nodes hidden from the oracle")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for replicate sweeps")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--timing", action="store_true",
                    help="measure per-run wall time (breaks byte determinism)")
@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    for attr, default in (("seed", 0), ("threads", 1), ("format", "csv")):
+    for attr, default in (("seed", 0), ("format", "csv")):
         if not hasattr(ns, attr):
             setattr(ns, attr, default)
     try:

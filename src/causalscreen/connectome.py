@@ -225,8 +225,8 @@ def run_connectome(fh: IO[str], spec: ConnectomeSpec, algorithm, seed: int, *,
     The oracle answers separation queries on the latent projection of the
     ingested graph onto the sample; the truth the output is scored
     against is the directed part of that projection, the parent graph
-    over the sample. Both share the one projection cached on the ingested
-    graph. k is clamped to the sample size.
+    over the sample. The projection is built once here and handed to
+    both. k is clamped to the sample size.
     """
     algorithm = Algorithm(algorithm)
     if topk < 0:
@@ -234,8 +234,9 @@ def run_connectome(fh: IO[str], spec: ConnectomeSpec, algorithm, seed: int, *,
     truth_dmg = ingest_connectome(fh, spec.threshold)
     sample = subsample(truth_dmg, min(spec.sample, truth_dmg.n), seed,
                        weight_exponent=spec.weight_exponent)
-    truth_parent = directed_part(latent_projection(truth_dmg, sample))
-    oracle = GraphicalOracle(truth_dmg, sample)
+    projection = latent_projection(truth_dmg, sample)
+    truth_parent = directed_part(projection)
+    oracle = GraphicalOracle(projection)
     result = run(algorithm, oracle)
 
     k = min(topk, len(sample))

@@ -136,15 +136,16 @@ def excess_edges(output: DirectedMixedGraph, truth_parent: DirectedMixedGraph) -
 
 def _average_ranks(xs: Sequence[float]) -> np.ndarray:
     arr = np.asarray(xs, dtype=float)
+    # Runs of equal values in a stable sort: a run of c values from 0-based
+    # position s ranks s + (c + 1) / 2. NaN != NaN, so each NaN is a run of
+    # its own, and NaNs keep their input order, which np.unique's inverse
+    # does not promise.
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(arr)])
     ranks = np.empty(len(arr))
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
     return ranks
 
 
@@ -209,12 +210,13 @@ def _replicate_rows(cfg: CorpusConfig, i: int, algorithms: Sequence[Algorithm],
                     latent_fraction: float, timing: bool) -> list:
     truth = random_dmg(cfg, i)
     observed = _observed_subset(cfg, i, latent_fraction)
-    truth_parent = directed_part(latent_projection(truth, observed))
+    projection = latent_projection(truth, observed)
+    truth_parent = directed_part(projection)
     true_dir = len(truth.nonloop_directed)
     true_bi = len(truth.bidirected)
     rows = []
     for algo in algorithms:
-        oracle = GraphicalOracle(truth, observed)
+        oracle = GraphicalOracle(projection)
         t0 = time.perf_counter()
         result = run(algo, oracle)
         ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0

@@ -10,13 +10,15 @@ are excluded from reported edge counts and from all exporters.
 
 Node identity is a small nonnegative integer, not necessarily contiguous
 (operations that restrict a graph to a node subset keep the original ids).
+Ids are ints or numpy ints; ``1.7`` or ``"1"`` is rejected, not truncated.
 Labels are display metadata only and do not participate in equality.
-Graphs are immutable after construction and safe to share across threads.
+Graphs are immutable, hold no derived state, and are safe to share.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from collections.abc import Mapping
 from typing import Iterable, Optional, Sequence, TextIO, Union
@@ -39,6 +41,14 @@ class GraphError(ValueError):
 Edge = tuple[int, int]
 
 
+def _node_id(v) -> int:
+    """``v`` as an int id: ints and numpy ints pass, ``1.7`` or ``"1"`` raise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise GraphError(f"node id {v!r} is not an integer") from None
+
+
 class DirectedMixedGraph:
     """An immutable directed mixed graph over integer node ids.
 
@@ -46,6 +56,7 @@ class DirectedMixedGraph:
     ----------
     nodes : int or iterable of int
         Node count ``n`` (ids ``0..n-1``) or an explicit id collection.
+        Every id, here and in the edges, must be an int or numpy int.
     directed : iterable of (tail, head)
         Directed edges. Self-loops may be included or omitted; the loop
         ``v -> v`` is inserted for every node regardless.
@@ -69,7 +80,7 @@ class DirectedMixedGraph:
     """
 
     __slots__ = ("_nodes", "_node_set", "_labels", "_directed", "_bidirected",
-                 "_children", "_parents", "_siblings", "_cache")
+                 "_children", "_parents", "_siblings")
 
     def __init__(self, nodes, directed=(), bidirected=(), labels=None):
         if isinstance(nodes, int):
@@ -77,7 +88,7 @@ class DirectedMixedGraph:
                 raise GraphError("node count must be nonnegative")
             ids = tuple(range(nodes))
         else:
-            ids = tuple(sorted({int(v) for v in nodes}))
+            ids = tuple(sorted({_node_id(v) for v in nodes}))
         if ids and ids[0] < 0:
             raise GraphError("node ids must be nonnegative")
         node_set = frozenset(ids)
@@ -99,9 +110,8 @@ class DirectedMixedGraph:
             label_map = dict(zip(ids, labels))
 
         dir_edges = []
-        for e in directed:
-            t, h = e
-            t, h = int(t), int(h)
+        for t, h in directed:
+            t, h = _node_id(t), _node_id(h)
             if t not in node_set or h not in node_set:
                 raise GraphError(f"directed edge {(t, h)} mentions unknown node")
             dir_edges.append((t, h))
@@ -109,9 +119,8 @@ class DirectedMixedGraph:
         dir_edges = frozenset(dir_edges)
 
         bi_edges = []
-        for e in bidirected:
-            a, b = e
-            a, b = int(a), int(b)
+        for a, b in bidirected:
+            a, b = _node_id(a), _node_id(b)
             if a not in node_set or b not in node_set:
                 raise GraphError(f"bidirected edge {(a, b)} mentions unknown node")
             if a == b:
@@ -138,7 +147,6 @@ class DirectedMixedGraph:
         self._children = {v: frozenset(c) for v, c in children.items()}
         self._parents = {v: frozenset(p) for v, p in parents.items()}
         self._siblings = {v: frozenset(s) for v, s in siblings.items()}
-        self._cache = {}
 
     # -- basic access ------------------------------------------------------
 
@@ -166,12 +174,7 @@ class DirectedMixedGraph:
 
     @property
     def nonloop_directed(self) -> frozenset:
-        try:
-            return self._cache["nonloop"]
-        except KeyError:
-            nl = frozenset(e for e in self._directed if e[0] != e[1])
-            self._cache["nonloop"] = nl
-            return nl
+        return frozenset(e for e in self._directed if e[0] != e[1])
 
     def _check_node(self, v: int) -> int:
         if v not in self._node_set:
@@ -202,18 +205,10 @@ class DirectedMixedGraph:
         return tuple(self._labels[v] for v in self._nodes)
 
     def node_by_label(self, label: str) -> int:
-        try:
-            return self._by_label()[label]
-        except KeyError:
-            raise GraphError(f"unknown node label {label!r}") from None
-
-    def _by_label(self) -> dict:
-        try:
-            return self._cache["by_label"]
-        except KeyError:
-            m = {lab: v for v, lab in self._labels.items()}
-            self._cache["by_label"] = m
-            return m
+        for v, lab in self._labels.items():
+            if lab == label:
+                return v
+        raise GraphError(f"unknown node label {label!r}")
 
     # -- comparison --------------------------------------------------------
 
@@ -405,17 +400,11 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
     preserves separation statements among the observed nodes (Mogensen &
     Hansen, "Markov equivalence of marginalized local independence
     graphs", Ann. Statist. 2020). Projecting a graph onto its full node set
-    returns the graph itself. Graphs are immutable, so a projection is
-    cached on ``g`` per observed set.
+    returns the graph itself; any other call builds a new graph.
     """
     obs = _check_subset(g, observed)
     if obs == g.node_set:
         return g
-    key = ("latent_projection", obs)
-    try:
-        return g._cache[key]
-    except KeyError:
-        pass
     parents, siblings = g._parents, g._siblings
     order = sorted(obs)
     reach = {}
@@ -437,9 +426,7 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
         # nodes of R(a) and their siblings: R(b) meeting this set gives a <-> b
         touch = ra.union(*map(siblings.get, ra))
         bidirected.extend((a, b) for b in order[i + 1:] if not touch.isdisjoint(reach[b]))
-    proj = DirectedMixedGraph(obs, directed, bidirected, labels=g._sublabels(obs))
-    g._cache[key] = proj
-    return proj
+    return DirectedMixedGraph(obs, directed, bidirected, labels=g._sublabels(obs))
 
 
 def canonical_dg(g: DirectedMixedGraph) -> tuple[DirectedMixedGraph, frozenset]:

@@ -5,7 +5,8 @@ nodes (every ordered pair, plus the mandatory loops) and only ever delete
 edges, so any sound run returns a supergraph of the true parent structure.
 Queries go through a :class:`~causalscreen.separation.GraphicalOracle`-style
 object exposing ``query(sources, targets, given) -> bool`` (True means
-independent); the oracle's call counter is the cost measure.
+independent), ``observed``, ``calls`` and ``label(v)``, whose labels name
+the learned graph's nodes; the oracle's call counter is the cost measure.
 
 Building blocks
 ---------------
@@ -50,7 +51,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, permutations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphs import DirectedMixedGraph, GraphError
 
@@ -134,13 +135,6 @@ def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):
     return pairs
 
 
-def _labels_for(oracle, nodes) -> Optional[list]:
-    label = getattr(oracle, "label", None)
-    if label is None:
-        return None
-    return [label(v) for v in sorted(nodes)]
-
-
 def _observed(oracle, observed) -> tuple[int, ...]:
     if observed is None:
         observed = oracle.observed
@@ -215,7 +209,7 @@ def trek_step(oracle, observed=None) -> DirectedMixedGraph:
     obs = _observed(oracle, observed)
     work = _Work(obs)
     _screen(oracle, work, _ordered_pairs(obs, "lex", 0), "trek", _trek_sets, [], {})
-    return work.freeze(_labels_for(oracle, obs))
+    return work.freeze([oracle.label(v) for v in sorted(obs)])
 
 
 def parent_step(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
@@ -276,7 +270,7 @@ def run(algorithm, oracle, observed=None, *, order: str = "lex",
             _screen(oracle, work, pairs, "parent", _parent_sets, trace, certs)
 
     return LearnResult(
-        graph=work.freeze(_labels_for(oracle, obs)),
+        graph=work.freeze([oracle.label(v) for v in sorted(obs)]),
         algorithm=algorithm,
         oracle_calls=oracle.calls - calls_before,
         certificates=certs,

@@ -24,13 +24,13 @@ reverse).
 
 The search runs over (node, arrival-mark) states, which is sound because
 the walk constraints at an occurrence depend only on that state and the
-chosen departure. Each graph is compiled once into an int-state form (see
-``_Compiled``) that every later query reuses. A query's node ids become
-search states by one lookup each in that form's maps (node index for the
-sources and conditioning set, head state for the targets), and the lookup
-is the query's validation: an id is valid exactly when it is a key there,
-so ints and numpy ints pass and ``1.5`` or ``"1"`` raise
-:class:`GraphError`.
+chosen departure. The graph is compiled into an int-state form (see
+``_Compiled``), once per :func:`mu_separated` call and once per
+:class:`GraphicalOracle`. A query's node ids become search states by one
+lookup each in that form's maps (node index for the sources and
+conditioning set, head state for the targets), and the lookup is the
+query's validation: an id is valid exactly when it is a key there, so
+ints and numpy ints pass and ``1.5`` or ``"1"`` raise :class:`GraphError`.
 
 The set of states reachable from ``A`` given ``C`` does not depend on the
 targets, so the search is an object that can pause and resume (see
@@ -80,9 +80,8 @@ class _Compiled:
     is in ``v``'s parents and children, so it contributes both of its
     orientations. Ancestor sets are int bitmasks over the renumbered nodes,
     one per node, filled on first use, so that anc(C) is the OR of the
-    masks of C. The form depends only on the graph, which is immutable, so
-    it is built once and cached on the graph; two threads that build it or
-    fill the same mask at once store equal values.
+    masks of C. The form depends only on the graph, which is immutable;
+    its one owner fills the masks, and an oracle does so under its lock.
     """
 
     __slots__ = ("index", "head", "head_out", "tail_out", "all_out", "parents", "anc")
@@ -121,19 +120,6 @@ class _Compiled:
         return mask
 
 
-def _compiled(g: DirectedMixedGraph) -> _Compiled:
-    try:
-        return g._cache["compiled"]
-    except KeyError:
-        pass
-    form = _Compiled(g)
-    g._cache["compiled"] = form
-    return form
-
-
-# Seen-set entry that marks a head arrival at a target.
-_TARGET = 2
-
 _EMPTY_QUERY = "source and target sets must be nonempty"
 
 
@@ -143,6 +129,14 @@ def _lookup(index: dict, nodes) -> set:
         return {index[v] for v in nodes}
     except KeyError as exc:
         raise GraphError(f"unknown nodes {[exc.args[0]]}") from None
+
+
+def _heads(form: _Compiled, targets) -> set:
+    """The head states of ``targets``, which must be known and nonempty."""
+    heads = _lookup(form.head, targets)
+    if not heads:
+        raise GraphError(_EMPTY_QUERY)
+    return heads
 
 
 class _Search:
@@ -161,7 +155,10 @@ class _Search:
 
     __slots__ = ("form", "cmask", "anc", "seen", "queue", "done")
 
-    def __init__(self, form: _Compiled, a: set, cs: set):
+    def __init__(self, form: _Compiled, sources, given):
+        a, cs = _lookup(form.index, sources), _lookup(form.index, given)
+        if not a:
+            raise GraphError(_EMPTY_QUERY)
         masks = form.anc
         cmask = anc = 0
         for i in cs:
@@ -186,10 +183,6 @@ class _Search:
             if seen[t]:
                 return True
         queue, k = self.queue, self.done
-        if k == len(queue):
-            return False
-        for t in heads:
-            seen[t] = _TARGET
         form, cmask, anc = self.form, self.cmask, self.anc
         head_out, tail_out, all_out = form.head_out, form.tail_out, form.all_out
         push = queue.append
@@ -209,31 +202,16 @@ class _Search:
             else:
                 succ = all_out[v]
             for w in succ:
-                mark = seen[w]
-                if not mark:
+                if not seen[w]:
                     seen[w] = 1
                     push(w)
-                elif mark == _TARGET:
-                    # discovered like any state, so the paused search stays whole
-                    seen[w] = 1
-                    push(w)
-                    hit = True
+                    if w in heads:
+                        # finish this state, so the paused search stays whole
+                        hit = True
             if hit:
                 break
         self.done = k
-        for t in heads:
-            if seen[t] == _TARGET:
-                seen[t] = 0
         return hit
-
-
-def _fresh_search(form: _Compiled, sources, targets, given) -> tuple:
-    """A fresh search from ``sources`` given ``given``, and the targets' head states."""
-    index = form.index
-    a, b, cs = _lookup(index, sources), _lookup(form.head, targets), _lookup(index, given)
-    if not a or not b:
-        raise GraphError(_EMPTY_QUERY)
-    return _Search(form, a, cs), b
 
 
 def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
@@ -242,7 +220,7 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
 
     Searches the (node, arrival-mark) states of the graph's compiled form;
     reaching a head arrival at a node of ``targets`` witnesses a
-    connecting walk. Each call runs a fresh search and keeps nothing.
+    connecting walk. Each call compiles the graph and keeps nothing.
 
     >>> g = DirectedMixedGraph(3, directed=[(0, 1), (1, 2)])
     >>> mu_separated(g, {0}, {2}, {1})
@@ -250,8 +228,8 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     >>> mu_separated(g, {0}, {2})
     False
     """
-    search, b = _fresh_search(_compiled(g), sources, targets, given)
-    return not search.reaches(b)
+    search = _Search(_Compiled(g), sources, given)
+    return not search.reaches(_heads(search.form, targets))
 
 
 # -- the local-independence oracle ----------------------------------------
@@ -283,19 +261,17 @@ class GraphicalOracle:
 
     Queries are answered on the latent projection of the truth onto the
     observed set, which has the same separation statements among observed
-    nodes and only those nodes (the truth itself when nothing is hidden).
-    The projection is all the oracle keeps of the truth: its node set is
-    the observed set, it carries the truth's labels, and the lookup of a
-    query's ids in its compiled index is the one place a query is
-    validated.
-
-    Besides the projection, its call counter and the optional log, the
-    oracle keeps one paused search per (sources, conditioning set) it has
-    been asked about. CA asks the same sources and conditioning set for
-    every target, so a repeat answers from the states that search already
-    reached, or resumes it. A repeat validates only its targets, as the
-    sources and conditioning set were validated when the search was made.
-    The searches are freed with the oracle, or all at once when there are
+    nodes and only those nodes; a caller that has projected the truth
+    already passes the projection and no ``observed``. The projection is
+    all the oracle keeps of the truth, and the lookup of a query's ids in
+    the oracle's own compiled form of it is the one place a query is
+    validated. The oracle also keeps its call counter, the optional log and
+    one paused search per (sources, conditioning set) it has been asked
+    about. CA asks the same sources and conditioning set for every target,
+    so a repeat answers from the states that search already reached, or
+    resumes it. A repeat validates only its targets, as the sources and
+    conditioning set were validated when the search was made. The searches
+    are freed with the oracle, or all at once when there are
     ``_MAX_SEARCHES`` of them. The oracle's lock serializes queries, so one
     oracle can be shared across threads.
 
@@ -304,15 +280,15 @@ class GraphicalOracle:
     truth : DirectedMixedGraph
         Hidden ground truth; queries are answered by separation in it.
     observed : iterable of node ids, optional
-        Queryable nodes (defaults to all truth nodes).
+        Queryable nodes (default: all truth nodes, and no projection).
     keep_log : bool
         Record every query as a :class:`SeparationQuery`.
     """
 
     def __init__(self, truth: DirectedMixedGraph, observed=None, *,
                  keep_log: bool = False):
-        self._graph = latent_projection(truth, truth.node_set if observed is None else observed)
-        self._form = _compiled(self._graph)
+        self._graph = truth if observed is None else latent_projection(truth, observed)
+        self._form = _Compiled(self._graph)
         self._searches: dict = {}
         self._calls = 0
         self._lock = threading.Lock()
@@ -344,15 +320,11 @@ class GraphicalOracle:
         with self._lock:
             search = self._searches.get(key)
             if search is None:
-                search, b = _fresh_search(self._form, sources, targets, given)
+                search = _Search(self._form, sources, given)
                 if len(self._searches) >= _MAX_SEARCHES:
                     self._searches.clear()
                 self._searches[key] = search
-            else:
-                b = _lookup(self._form.head, targets)
-                if not b:
-                    raise GraphError(_EMPTY_QUERY)
-            answer = not search.reaches(b)
+            answer = not search.reaches(_heads(self._form, targets))
             self._calls += 1
             if self._log is not None:
                 self._log.append(SeparationQuery(sources, targets, given, answer))

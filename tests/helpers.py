@@ -656,3 +656,43 @@ def reference_subsample(g: DirectedMixedGraph, m: int, seed: int, *,
                 break
         chosen.append(remaining.pop(pick))
     return tuple(sorted(chosen))
+
+
+def reference_average_ranks(xs: Sequence[float]) -> np.ndarray:
+    """Average ranks by walking each run of ties in a stable sort.
+
+    The loop ``experiments._average_ranks`` ran before it walked the
+    sorted values with array operations; both must return the same bytes,
+    NaNs included.
+    """
+    arr = np.asarray(xs, dtype=float)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(len(arr))
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def count_projections(monkeypatch) -> list:
+    """Record every ``latent_projection`` call the pipeline modules make.
+
+    Patches the name in each module that imports it and returns the list
+    to which each call appends its observed set.
+    """
+    from causalscreen import connectome, experiments, graphs, separation
+
+    calls = []
+
+    def counted(g, observed):
+        observed = frozenset(observed)
+        calls.append(observed)
+        return graphs.latent_projection(g, observed)
+
+    for module in (connectome, experiments, separation):
+        monkeypatch.setattr(module, "latent_projection", counted)
+    return calls

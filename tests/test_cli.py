@@ -307,6 +307,18 @@ class TestFailuresEndAsErrors:
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["learn", "--graph", "g.json", "--threads", "-3"],
+        ["simulate", "--model", "m.json", "--threads", "2"],
+        ["connectome", "--file", "s.csv", "--threads", "0"],
+        ["musep", "--graph", "g.json", "-A", "a", "-B", "b", "--threads", "2"],
+    ])
+    def test_threads_is_an_option_of_bench_only(self, capsys, args):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads(self, capsys, threads):
         rc = main(TestBench.ARGS + ["--threads", threads])

@@ -21,6 +21,7 @@ from causalscreen import (
     subsample,
 )
 from helpers import (
+    count_projections,
     reference_degree_weights,
     reference_ingest_connectome,
     reference_subsample,
@@ -255,6 +256,15 @@ class TestPipeline:
         assert res.calls == 12
         assert math.isnan(res.spearman_in) and math.isnan(res.spearman_out)
         assert (res.topk_in, res.topk_out, res.k) == (2, 2, 2)
+
+    def test_one_projection_per_run(self, monkeypatch):
+        # it serves both the oracle and the true parent graph
+        calls = count_projections(monkeypatch)
+        spec = ConnectomeSpec(threshold=4, sample=3)
+        for algo in ("cs", "ca"):
+            res = run_connectome(io.StringIO(ring_csv()), spec, algo, 11, topk=2)
+            assert res.truth_parent.node_set == calls[-1]
+        assert len(calls) == 2
 
     def test_json_dict_maps_nan_to_none(self):
         spec = ConnectomeSpec(threshold=4, sample=3)

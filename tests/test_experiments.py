@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalscreen import (
@@ -22,7 +22,8 @@ from causalscreen import (
     topk_overlap,
     write_metrics_csv,
 )
-from causalscreen.experiments import METRICS_HEADER
+from causalscreen.experiments import METRICS_HEADER, _average_ranks
+from helpers import count_projections, reference_average_ranks
 
 
 class TestCorpus:
@@ -121,6 +122,16 @@ class TestMetrics:
         else:
             assert ours == pytest.approx(theirs)
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan])
+                    | st.floats(allow_nan=True), max_size=40))
+    # more than 16 values: an unstable sort may reorder the two NaNs
+    @example([0.0] * 8 + [math.nan] * 2 + [0.0] * 6 + [1.0])
+    @settings(max_examples=300)
+    def test_average_ranks_match_tie_loop(self, xs):
+        got, want = _average_ranks(xs), reference_average_ranks(xs)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_degrees_exclude_loops(self):
         g = DirectedMixedGraph(3, [(0, 1), (0, 2), (1, 2)])
         assert indegrees(g) == {0: 0, 1: 1, 2: 2}
@@ -189,6 +200,15 @@ class TestBenchRun:
         rows = bench_run(cfg, ("cs",), latent_fraction=0.5)
         assert all(row.n == 8 for row in rows)
         assert all(row.calls <= 2 * 4 * 3 for row in rows)
+
+    def test_one_projection_per_replicate(self, monkeypatch):
+        # it serves every algorithm's oracle and the scoring truth
+        calls = count_projections(monkeypatch)
+        cfg = CorpusConfig(8, 0.3, 0.1, 3, 99)
+        rows = bench_run(cfg, ("cs", "csap", "ca"), latent_fraction=0.25)
+        assert len(rows) == 9
+        assert len(calls) == 3
+        assert all(len(observed) == 6 for observed in calls)
 
     def test_aggregate(self):
         rows = bench_run(self.CFG, ("cs", "ca"))

@@ -107,11 +107,11 @@ class TestConstruction:
     @pytest.mark.parametrize("kwargs, error, message", [
         ({"directed": [(0, 3)]}, GraphError, "directed edge (0, 3) mentions unknown node"),
         ({"bidirected": [(9, 0)]}, GraphError, "bidirected edge (9, 0) mentions unknown node"),
-        ({"bidirected": [("1", 1)]}, GraphError, "bidirected self-edge at node 1"),
+        ({"bidirected": [(np.int64(1), 1)]}, GraphError, "bidirected self-edge at node 1"),
         ({"directed": [(0, 1, 2)]}, ValueError, "too many values to unpack"),
         ({"directed": [(0,)]}, ValueError, "not enough values to unpack"),
         ({"directed": [5]}, TypeError, None),
-        ({"bidirected": [("0", "x")]}, ValueError, "invalid literal for int()"),
+        ({"bidirected": [("0", "x")]}, GraphError, "node id '0' is not an integer"),
     ])
     def test_bad_edges(self, kwargs, error, message):
         with pytest.raises(error) as info:
@@ -120,10 +120,24 @@ class TestConstruction:
             assert str(info.value).startswith(message)
 
     def test_edge_ends_are_normalised_to_int(self):
-        g = DirectedMixedGraph(3, [("0", np.int64(2))], [(2.0, "1")])
+        g = DirectedMixedGraph(np.arange(3), [(0, np.int64(2))], [(np.int32(2), np.uint8(1))])
+        assert g.nodes == (0, 1, 2)
         assert g.directed == {(0, 2), (0, 0), (1, 1), (2, 2)}
         assert g.bidirected == {(1, 2)}
         assert all(type(v) is int for e in g.directed | g.bidirected for v in e)
+
+    @pytest.mark.parametrize("bad", [1.7, "1", 2.5])
+    @pytest.mark.parametrize("role", ["nodes", "directed", "bidirected"])
+    def test_non_integer_ids_rejected(self, role, bad):
+        args = {"nodes": ([0, bad, 3],),
+                "directed": (3, [(0, bad)]),
+                "bidirected": (3, (), [(bad, 0)])}[role]
+        with pytest.raises(GraphError, match=re.escape(f"node id {bad!r} is not an integer")):
+            DirectedMixedGraph(*args)
+
+    def test_graph_holds_no_derived_state(self):
+        assert not any("cache" in name for name in DirectedMixedGraph.__slots__)
+        assert not hasattr(DirectedMixedGraph(2), "__dict__")
 
 
 class TestAncestors:

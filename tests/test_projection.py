@@ -37,12 +37,6 @@ def test_projection_matches_elimination(case):
     assert latent_projection(g, g.nodes) is g
 
 
-def test_projection_is_cached_per_observed_set(demo_graph):
-    proj = latent_projection(demo_graph, (0, 3, 4))
-    assert latent_projection(demo_graph, [4, 3, 0]) is proj
-    assert latent_projection(demo_graph, (0, 3)) is not proj
-
-
 @given(graph_and_observed(max_n=10), st.data())
 @settings(max_examples=200)
 def test_projection_and_canonical_form_preserve_separation(case, data):

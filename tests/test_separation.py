@@ -14,6 +14,7 @@ from causalscreen import (
     GraphError,
     GraphicalOracle,
     SeparationQuery,
+    latent_projection,
     mu_separated,
 )
 from causalscreen import separation
@@ -237,6 +238,13 @@ class TestOracle:
             assert oracle.query(a, b, c) == mu_separated(truth, a, b, c)
             assert len(oracle._searches) <= 3
         assert oracle.calls == len(queries)
+
+    def test_oracles_on_one_projection_own_their_compiled_forms(self, demo_graph):
+        proj = latent_projection(demo_graph, (0, 3, 4))
+        first, second = GraphicalOracle(proj), GraphicalOracle(proj)
+        assert first._graph is second._graph is proj
+        assert first._form is not second._form
+        assert first.query({0}, {4}, {3}) == second.query({0}, {4}, {3})
 
     def test_log_disabled_by_default(self, chain3):
         assert GraphicalOracle(chain3).log is None
