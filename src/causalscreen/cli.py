@@ -5,7 +5,8 @@ Subcommands: ``learn`` (screen a graph through the separation oracle),
 sweeps), ``connectome`` (ingest/subsample/screen a synapse table), and
 ``musep`` (one-off separation query). Global flags ``--seed`` and
 ``--format csv|json`` are accepted before or after the subcommand name;
-``--threads`` is an option of ``bench`` alone.
+``--threads`` is an option of ``bench`` alone; given before the command
+name, it is an error that says so.
 
 All writers are deterministic: JSON is emitted with sorted keys, CSV rows
 in a fixed order, floats through repr, no timestamps. Rerunning a command
@@ -222,6 +223,14 @@ def _cmd_musep(ns) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _AfterBench(argparse.Action):
+    """``--threads`` given before the command: an error naming where it goes."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"--threads is an option of bench and goes after it: "
+                     f"{parser.prog} bench --threads N ...")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -235,6 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Constraint-based causal screening for event-process networks.",
         parents=[common],
     )
+    # the top level takes --threads only to reject it with a pointer to bench
+    parser.add_argument("--threads", nargs="?", action=_AfterBench,
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", parents=[common],

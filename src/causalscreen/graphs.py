@@ -55,7 +55,8 @@ class DirectedMixedGraph:
     Parameters
     ----------
     nodes : int or iterable of int
-        Node count ``n`` (ids ``0..n-1``) or an explicit id collection.
+        Node count ``n`` (ids ``0..n-1``), an int or numpy int, or an
+        explicit id collection.
         Every id, here and in the edges, must be an int or numpy int.
     directed : iterable of (tail, head)
         Directed edges. Self-loops may be included or omitted; the loop
@@ -83,12 +84,14 @@ class DirectedMixedGraph:
                  "_children", "_parents", "_siblings")
 
     def __init__(self, nodes, directed=(), bidirected=(), labels=None):
-        if isinstance(nodes, int):
-            if nodes < 0:
-                raise GraphError("node count must be nonnegative")
-            ids = tuple(range(nodes))
-        else:
+        try:
+            count = operator.index(nodes)   # an int or numpy int is a count
+        except TypeError:
             ids = tuple(sorted({_node_id(v) for v in nodes}))
+        else:
+            if count < 0:
+                raise GraphError("node count must be nonnegative")
+            ids = tuple(range(count))
         if ids and ids[0] < 0:
             raise GraphError("node ids must be nonnegative")
         node_set = frozenset(ids)

@@ -19,15 +19,23 @@ seeds give identical histories on any platform.
 
 The sampler keeps its excitation state only on the kernel support (the
 nonzero amplitudes): each step decays and multiplies those entries alone.
-The intensity is still the sum of dense rows, taken over a buffer that
-holds the products on the support and 0.0 elsewhere. That dense row sum
-adds the same floats in the same order as ``(A * S).sum(axis=1)`` over the
-full n x n state, so every event time is the one, to the byte, that a
-sampler keeping the full state would draw.
+The support is ordered by source node, so an event adds 1.0 to one
+contiguous slice. The intensity is still the sum of dense rows, taken over
+a buffer that holds the products at their row-major places and 0.0
+elsewhere. That dense row sum adds the same floats in the same order as
+``(A * S).sum(axis=1)`` over the full n x n state, so every event time is
+the one, to the byte, that a sampler keeping the full state would draw.
+Uniforms are drawn from the stream in blocks, which hold the values of as
+many scalar draws.
 
 Hard interventions replace a node's point process with a deterministic
-list of event times: the node's own intensity is ignored, but its forced
-events still excite the rest of the network through the usual kernels.
+list of event times: the node's own intensity is zero (no baseline and no
+kernel support in its row), but its forced events still excite the rest
+of the network through the usual kernels.
+
+The compensator sums each source's events through the recurrence
+g <- g * exp(-b * gap) + 1, run by ``itertools.accumulate`` over
+``math.exp`` values, which gives the floats of a per-event forward sweep.
 
 Stationarity is governed by the branching matrix R[b][a] = a_ba / b_ba
 (the expected number of direct b-children of an a-event): the process is
@@ -41,6 +49,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
@@ -64,6 +73,8 @@ __all__ = [
 ]
 
 EVENT_CAP_DEFAULT = 10_000_000
+# uniforms drawn per call to the generator while thinning
+_UNIFORM_BLOCK = 4096
 
 
 class SimulationError(RuntimeError):
@@ -375,40 +386,46 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
                 "pass force=True to simulate anyway"
             )
 
+    # Uniforms come in blocks from the run's own PCG64 stream: a block of k
+    # holds the values of k scalar draws in order, and nothing else reads
+    # the generator, so the unused end of the last block changes nothing.
     rng = np.random.Generator(np.random.PCG64(seed))
-    events: list = [[] for _ in range(n)]
+    draw = chain.from_iterable(
+        map(np.ndarray.tolist, map(rng.random, repeat(_UNIFORM_BLOCK)))).__next__
+
+    # An intervened node's intensity is zero: its baseline is zeroed and its
+    # row leaves the kernel support, so its dense row sums to +0.0. Its
+    # column stays, so its forced events still excite the network.
+    mu[~active] = 0.0
+    A[~active] = 0.0
     # The excitation state is kept only on the kernel support: s[k] carries
     # sum(exp(-B[b,a] * (t - s))) over all events s <= t of node a, where
-    # [b, a] is the k-th nonzero amplitude in row-major order; decayed
-    # lazily when t advances. Off the support A * S is zero whatever S holds.
-    support = np.flatnonzero(A)
+    # [b, a] is the k-th nonzero amplitude ordered by source a, then target
+    # b; decayed lazily when t advances. Off the support A * S is zero
+    # whatever S holds. An event of node a adds 1.0 to a's slice of s.
+    sources, targets = np.divmod(np.flatnonzero(A.T), n)
+    support = targets * n + sources
     a_nz = A.ravel()[support]
     neg_b = -B.ravel()[support]
-    by_source = [np.flatnonzero(support % n == v) for v in range(n)]
     s = np.zeros(support.size)
+    bounds = sources.searchsorted(np.arange(n + 1)).tolist()
+    by_source = [s[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     buf = np.empty(support.size)
-    # A * S is scattered into a dense buffer whose other entries stay 0.0,
-    # and the intensity sums its dense rows: the same floats added in the
-    # same order as (A * S).sum(axis=1), so every event keeps its bytes.
+    # A * S is scattered to its row-major places in a dense buffer whose
+    # other entries stay 0.0, and the intensity sums its dense rows: the
+    # same floats added in the same order as (A * S).sum(axis=1), so every
+    # event keeps its bytes.
     AS = np.zeros((n, n))
     AS_flat = AS.reshape(-1)
     rowsum = np.empty(n)
     lam = np.empty(n)
     cum = np.empty(n)
-    inactive = np.flatnonzero(~active)
     multiply, exp, add, add_reduce = np.multiply, np.exp, np.add, np.add.reduce
-    random = rng.random
+    log1p, inf = math.log1p, math.inf
+    events: list = [[] for _ in range(n)]
+    appends = [row.append for row in events]
     t = 0.0
-    fi = 0
     total = 0
-
-    def advance(to: float) -> None:
-        """Move the clock to ``to``, decaying the state on the way."""
-        nonlocal t
-        multiply(neg_b, to - t, out=buf)
-        exp(buf, out=buf)
-        multiply(s, buf, out=s)
-        t = to
 
     def total_intensity() -> float:
         """Fill ``lam`` with the intensity just after t; return its sum."""
@@ -416,44 +433,48 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
         AS_flat[support] = buf
         add_reduce(AS, axis=1, out=rowsum)
         add(mu, rowsum, out=lam)
-        lam[inactive] = 0.0
         return float(add_reduce(lam))
 
-    def record(node: int, at: float) -> None:
-        nonlocal total
-        s[by_source[node]] += 1.0
-        events[node].append(at)
+    # The run stops at each forced event in time order, then at the end of
+    # the horizon: the first time past T, which every later candidate
+    # reaches. A zero envelope draws no candidate time (t_cand = inf), so
+    # it goes straight to the next stop.
+    stops = forced + [(math.nextafter(T, inf), None)]
+    for tf, nf in stops:
+        while True:
+            lbar = total_intensity()
+            # Draw order per candidate: candidate-time draw (none while the
+            # envelope is zero), then (if the candidate comes before the
+            # next stop) acceptance draw, then (if accepted) node-selection
+            # draw. A candidate at or past the stop discards its time draw.
+            t_cand = t - log1p(-draw()) / lbar if lbar > 0.0 else inf
+            if tf <= t_cand:
+                break
+            multiply(neg_b, t_cand - t, out=buf)
+            exp(buf, out=buf)
+            multiply(s, buf, out=s)
+            t = t_cand
+            ltot = total_intensity()
+            if draw() * lbar <= ltot:
+                add.accumulate(lam, out=cum)
+                node = min(int(cum.searchsorted(draw() * ltot, "right")), n - 1)
+                by_source[node] += 1.0
+                appends[node](t)
+                total += 1
+                if total > max_events:
+                    raise SimulationError(
+                        f"event cap {max_events} exceeded; model exploding?")
+        if nf is None:
+            break
+        multiply(neg_b, tf - t, out=buf)
+        exp(buf, out=buf)
+        multiply(s, buf, out=s)
+        t = tf
+        by_source[nf] += 1.0
+        appends[nf](t)
         total += 1
         if total > max_events:
             raise SimulationError(f"event cap {max_events} exceeded; model exploding?")
-
-    while True:
-        lbar = total_intensity()
-
-        # Draw order per candidate: candidate-time draw (none while the
-        # envelope is zero, which leaves only forced events), then (if the
-        # candidate is within the horizon and not preempted by a forced
-        # event) acceptance draw, then (if accepted) node-selection draw.
-        t_cand = t - math.log1p(-random()) / lbar if lbar > 0.0 else math.inf
-        if fi < len(forced) and forced[fi][0] <= t_cand:
-            # Forced event preempts the candidate; its time draw is discarded.
-            tf, nf = forced[fi]
-            advance(tf)
-            fi += 1
-            record(nf, tf)
-            continue
-        if t_cand > T:
-            break
-
-        advance(t_cand)
-        ltot = total_intensity()
-        u_accept = random()
-        if u_accept * lbar <= ltot:
-            u_node = random()
-            add.accumulate(lam, out=cum)
-            node = int(cum.searchsorted(u_node * ltot, side="right"))
-            node = min(node, n - 1)
-            record(node, t_cand)
 
     return EventHistory(tuple(tuple(row) for row in events), T)
 
@@ -491,26 +512,25 @@ def simulate_intervened(model: HawkesModel,
     return _thinning(model, tuple(interventions), seed, force, max_events)
 
 
-def _decayed_sums(query_ts: Sequence[float], src_ts: Sequence[float],
-                  b: float) -> tuple:
+def _decayed_sums(query: np.ndarray, src: Sequence[float], b: float) -> tuple:
     """For each query time t: (#events s < t, sum exp(-b (t - s)) over them).
 
-    Single forward sweep; both time sequences must be ascending.
+    Both time sequences must be ascending. The sum over the first j events,
+    taken at the j-th, follows g <- g * exp(-b * gap) + 1.0 from g = 1.0;
+    it is then decayed to each query time. ``math.exp`` and that order of
+    operations give the floats of a forward sweep over the events.
     """
-    counts = np.empty(len(query_ts))
-    sums = np.empty(len(query_ts))
-    g = 0.0
-    cur = 0.0
-    j = 0
-    for i, t in enumerate(query_ts):
-        while j < len(src_ts) and src_ts[j] < t:
-            s = src_ts[j]
-            g = g * math.exp(-b * (s - cur)) + 1.0
-            cur = s
-            j += 1
-        counts[i] = j
-        sums[i] = g * math.exp(-b * (t - cur))
-    return counts, sums
+    src = np.array(src, dtype=float)
+    counts = src.searchsorted(query, "left")
+    factors = map(math.exp, (-b * np.diff(src)).tolist())
+    g = np.fromiter(accumulate(factors, lambda acc, e: acc * e + 1.0, initial=1.0),
+                    float, src.size)
+    # index j: the sum over the first j events and the time of the j-th
+    g = np.concatenate(([0.0], g))
+    last = np.concatenate(([0.0], src))
+    decay = np.fromiter(map(math.exp, (-b * (query - last[counts])).tolist()),
+                        float, query.size)
+    return counts, g[counts] * decay
 
 
 def _history_node(model: HawkesModel, history: EventHistory, node) -> int:
@@ -528,14 +548,19 @@ def compensator(model: HawkesModel, history: EventHistory, node: int,
     """Integrated intensity of ``node`` at each of the given ascending times.
 
     Each event of node a at time s < t contributes (a_ba / b_ba) *
-    (1 - exp(-b_ba (t - s))) to the integral from 0 to t.
+    (1 - exp(-b_ba (t - s))) to the integral from 0 to t. The times must
+    be finite and lie within [0, T], as for :func:`intensity`.
     """
     node = _history_node(model, history, node)
-    ts = list(_floats(times, "compensator time"))
-    for prev, cur in zip(ts, ts[1:]):
-        if cur < prev:
-            raise ValueError("compensator times must be ascending")
-    out = np.array(ts, dtype=float) * model.mu[node]
+    ts = np.array(_floats(times, "compensator time"), dtype=float)
+    if not np.isfinite(ts).all():
+        raise ValueError("compensator times must be finite")
+    outside = (ts < 0.0) | (ts > model.horizon)
+    if outside.any():
+        raise ValueError(f"time {float(ts[outside][0])} outside [0, {model.horizon}]")
+    if (ts[1:] < ts[:-1]).any():
+        raise ValueError("compensator times must be ascending")
+    out = ts * model.mu[node]
     for a, row in enumerate(history.times):
         k = model.kernels[node][a]
         if k.a == 0.0 or not row:

@@ -562,6 +562,42 @@ def reference_thinning(model: HawkesModel, interventions: Sequence[Intervention]
     return EventHistory(tuple(tuple(row) for row in events), T)
 
 
+def reference_decayed_sums(query_ts: Sequence[float], src_ts: Sequence[float],
+                           b: float) -> tuple:
+    """For each query time t: (#events s < t, sum exp(-b (t - s)) over them).
+
+    Single forward sweep; both time sequences must be ascending. The loop
+    ``hawkes._decayed_sums`` ran before it was vectorized.
+    """
+    counts = np.empty(len(query_ts))
+    sums = np.empty(len(query_ts))
+    g = 0.0
+    cur = 0.0
+    j = 0
+    for i, t in enumerate(query_ts):
+        while j < len(src_ts) and src_ts[j] < t:
+            s = src_ts[j]
+            g = g * math.exp(-b * (s - cur)) + 1.0
+            cur = s
+            j += 1
+        counts[i] = j
+        sums[i] = g * math.exp(-b * (t - cur))
+    return counts, sums
+
+
+def reference_compensator(model: HawkesModel, history: EventHistory, node: int,
+                          times: Sequence[float]) -> np.ndarray:
+    """``hawkes.compensator``'s sum over the sources through the forward sweep."""
+    ts = list(times)
+    out = np.array(ts, dtype=float) * model.mu[node]
+    for a, row in enumerate(history.times):
+        k = model.kernels[node][a]
+        if k.a == 0.0 or not row:
+            continue
+        counts, sums = reference_decayed_sums(ts, row, k.b)
+        out += (k.a / k.b) * (counts - sums)
+    return out
+
 def _reference_parse_row(lineno: int, line: str) -> tuple:
     parts = [p.strip() for p in line.split(",")]
     if len(parts) != 4:

@@ -319,6 +319,21 @@ class TestFailuresEndAsErrors:
         assert info.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--threads", "4", "bench", "--n", "3", "--p-dir", "0.5"],
+        ["--threads=4", "bench"],
+        ["--seed", "1", "--threads", "4", "learn", "--graph", "g.json"],
+        ["--threads"],
+    ])
+    def test_leading_threads_points_to_bench(self, capsys, args):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --threads is an option of bench and goes after it: " \
+               "causalscreen bench --threads N ..." in err
+        assert "invalid choice" not in err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads(self, capsys, threads):
         rc = main(TestBench.ARGS + ["--threads", threads])

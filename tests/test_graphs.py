@@ -38,6 +38,14 @@ class TestConstruction:
         assert g.has_directed(0, 2)
         assert g.has_directed(5, 5)
 
+    @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_int_node_count(self, count):
+        g = DirectedMixedGraph(count, [(0, 2)], [(1, 2)])
+        assert g == DirectedMixedGraph(3, [(0, 2)], [(1, 2)])
+        assert g.nodes == (0, 1, 2) and all(type(v) is int for v in g.nodes)
+        with pytest.raises(GraphError, match="node count must be nonnegative"):
+            DirectedMixedGraph(np.int64(-1))
+
     def test_bidirected_is_unordered(self):
         g = DirectedMixedGraph(3, bidirected=[(2, 1)])
         assert g.bidirected == frozenset({(1, 2)})

@@ -25,8 +25,8 @@ from causalscreen import (
     stationarity_check,
     stationary_rates,
 )
-from causalscreen.hawkes import _thinning
-from helpers import reference_thinning
+from causalscreen.hawkes import _UNIFORM_BLOCK, _thinning
+from helpers import reference_compensator, reference_thinning
 
 K = ExponentialKernel
 
@@ -359,6 +359,28 @@ class TestInterventions:
         assert simulate_intervened(m, iv, 4) == simulate_intervened(m, Intervention(1, (1.0,)), 4)
 
 
+@st.composite
+def compensator_cases(draw):
+    """Small models and histories, and ascending query times on the events,
+    between them, before the first and at both ends of the horizon.
+
+    Times come partly from a coarse grid, so that events of different nodes
+    coincide and queries land exactly on events.
+    """
+    n = draw(st.integers(1, 3))
+    horizon = draw(st.sampled_from((1.0, 8.0, 50.0)))
+    time = st.integers(0, 16).map(lambda i: horizon * i / 16) | st.floats(0.0, horizon)
+    amplitude = st.sampled_from((0.0, -0.0)) | st.floats(0.01, 5.0)
+    decay = st.floats(0.01, 50.0)
+    kernels = tuple(tuple(K(draw(amplitude), draw(decay)) for _ in range(n)) for _ in range(n))
+    mu = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    rows = tuple(tuple(sorted(set(draw(st.lists(time, max_size=8))))) for _ in range(n))
+    events = sorted({t for row in rows for t in row})
+    query = st.sampled_from(events) | time if events else time
+    times = tuple(sorted(draw(st.lists(query, max_size=10))))
+    return HawkesModel(mu, kernels, horizon), EventHistory(rows, horizon), times
+
+
 class TestCompensator:
     def test_poisson_case_is_linear(self):
         zero = K(0.0, 1.0)
@@ -406,6 +428,40 @@ class TestCompensator:
                 rescaled_intervals(m, h, node)
         assert np.array_equal(rescaled_intervals(m, h, np.int64(1)), rescaled_intervals(m, h, 1))
         assert np.array_equal(compensator(m, h, np.int32(0), (3.0,)), compensator(m, h, 0, (3.0,)))
+
+    @pytest.mark.parametrize("times, message", [
+        ((1.0, math.nan), "compensator times must be finite"),
+        ((math.inf,), "compensator times must be finite"),
+        ((-math.inf, 1.0), "compensator times must be finite"),
+        ((-5.0,), r"time -5\.0 outside \[0, 10\.0\]"),
+        ((1.0, 50.0), r"time 50\.0 outside \[0, 10\.0\]"),
+        ((-1e-300, 0.0), r"time -1e-300 outside \[0, 10\.0\]"),
+    ])
+    def test_times_must_be_finite_and_within_the_horizon(self, times, message):
+        m = two_node_model()
+        h = EventHistory(((0.5,), (1.0, 2.0)), 10.0)
+        with pytest.raises(ValueError, match=message):
+            compensator(m, h, 0, times)
+
+    def test_horizon_ends_are_valid_times(self):
+        m = two_node_model()
+        h = EventHistory(((0.5,), (1.0, 2.0)), 10.0)
+        got = compensator(m, h, 1, (0.0, -0.0, 10.0))
+        assert np.array_equal(got, reference_compensator(m, h, 1, (0.0, -0.0, 10.0)))
+        assert got[0] == 0.0
+        assert compensator(m, h, 1, ()).shape == (0,)
+
+    @settings(max_examples=300)
+    @given(compensator_cases())
+    def test_matches_forward_sweep(self, case):
+        """The vectorized sums give the floats of the old per-event loop."""
+        model, history, times = case
+        for node in range(model.n):
+            got = compensator(model, history, node, times)
+            assert np.array_equal(got, reference_compensator(model, history, node, times))
+            own = reference_compensator(model, history, node, history.times[node])
+            assert np.array_equal(rescaled_intervals(model, history, node),
+                                  np.diff(np.concatenate(([0.0], own))))
 
     def test_rescaled_intervals_are_unit_exponential(self):
         """Time rescaling: compensator increments between own events are
@@ -515,6 +571,15 @@ class TestPackedThinning:
     @given(thinning_cases())
     def test_matches_dense_reference(self, case):
         assert _thinning_outcome(_thinning, *case) == _thinning_outcome(reference_thinning, *case)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_uniform_blocks_equal_scalar_draws(self, seed):
+        """The sampler draws its uniforms in blocks; each block must hold
+        the values that as many scalar draws would give, block after block."""
+        blocks = np.random.Generator(np.random.PCG64(seed))
+        scalars = np.random.Generator(np.random.PCG64(seed))
+        for k in (1, 7, _UNIFORM_BLOCK, _UNIFORM_BLOCK):
+            assert blocks.random(k).tolist() == [scalars.random() for _ in range(k)]
 
     def test_sparse_golden(self):
         """Digest of both event CSVs, recorded with the dense loop."""
