@@ -31,7 +31,8 @@ from .experiments import (
     write_metrics_csv,
 )
 from .graphs import DirectedMixedGraph, GraphError
-from .hawkes import HawkesModel, Intervention, SimulationError, simulate_intervened
+from .hawkes import (EVENT_CAP_DEFAULT, HawkesModel, Intervention, SimulationError,
+                     simulate_intervened)
 from .screening import Algorithm, run
 from .separation import GraphicalOracle
 
@@ -274,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--force", action="store_true",
                    help="simulate even if the stationarity check fails")
-    p.add_argument("--max-events", type=int, default=10_000_000)
+    p.add_argument("--max-events", type=int, default=EVENT_CAP_DEFAULT)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", parents=[common],

@@ -10,7 +10,8 @@ are excluded from reported edge counts and from all exporters.
 
 Node identity is a small nonnegative integer, not necessarily contiguous
 (operations that restrict a graph to a node subset keep the original ids).
-Ids are ints or numpy ints; ``1.7`` or ``"1"`` is rejected, not truncated.
+Ids are ints or numpy ints; ``True``, ``1.7`` or ``"1"`` is rejected, not
+truncated.
 Labels are display metadata only and do not participate in equality.
 Graphs are immutable, hold no derived state, and are safe to share.
 """
@@ -20,8 +21,8 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from collections.abc import Mapping
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from collections.abc import Iterable, Mapping
+from typing import Optional, Sequence, TextIO, Union
 
 __all__ = [
     "GraphError",
@@ -41,12 +42,14 @@ class GraphError(ValueError):
 Edge = tuple[int, int]
 
 
-def _node_id(v) -> int:
-    """``v`` as an int id: ints and numpy ints pass, ``1.7`` or ``"1"`` raise."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise GraphError(f"node id {v!r} is not an integer") from None
+def _node_id(v, what: str = "node id") -> int:
+    """``v`` as an int: ints and numpy ints pass; bools, ``1.7`` or ``"1"`` raise."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise GraphError(f"{what} {v!r} is not an integer")
 
 
 class DirectedMixedGraph:
@@ -56,8 +59,8 @@ class DirectedMixedGraph:
     ----------
     nodes : int or iterable of int
         Node count ``n`` (ids ``0..n-1``), an int or numpy int, or an
-        explicit id collection.
-        Every id, here and in the edges, must be an int or numpy int.
+        explicit id collection. Every id, here and in the edges, and the
+        count must be an int or numpy int; bools are rejected.
     directed : iterable of (tail, head)
         Directed edges. Self-loops may be included or omitted; the loop
         ``v -> v`` is inserted for every node regardless.
@@ -84,11 +87,10 @@ class DirectedMixedGraph:
                  "_children", "_parents", "_siblings")
 
     def __init__(self, nodes, directed=(), bidirected=(), labels=None):
-        try:
-            count = operator.index(nodes)   # an int or numpy int is a count
-        except TypeError:
+        if isinstance(nodes, Iterable):
             ids = tuple(sorted({_node_id(v) for v in nodes}))
         else:
+            count = _node_id(nodes, "node count")
             if count < 0:
                 raise GraphError("node count must be nonnegative")
             ids = tuple(range(count))
@@ -254,10 +256,10 @@ class DirectedMixedGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DirectedMixedGraph":
-        try:
-            names = list(doc["nodes"])
-        except (TypeError, KeyError):
-            raise GraphError("graph document must contain a 'nodes' array") from None
+        names = doc.get("nodes") if isinstance(doc, Mapping) else None
+        if not isinstance(names, (list, tuple)) or any(
+                isinstance(x, bool) or not isinstance(x, (str, int, float)) for x in names):
+            raise GraphError("graph document must contain a 'nodes' array of strings or numbers")
         if len(set(map(str, names))) != len(names):
             raise GraphError("node labels must be unique")
         by_name = {str(x): i for i, x in enumerate(names)}

@@ -10,6 +10,10 @@ the learned graph's nodes; the oracle's call counter is the cost measure.
 
 Building blocks
 ---------------
+The only state is a parent map: a dict from each node, in id order, to
+the set of its parents (``_complete`` for a fresh run, ``_parent_map``
+for an input graph), frozen back into a graph by ``_graph``.
+
 Every pair stage is one loop, ``_screen``: for each ordered pair (a, b)
 still carrying an edge, query a against b given each set of the stage's
 set rule in turn; the first independent answer deletes a -> b and becomes
@@ -37,7 +41,8 @@ Compositions
 ------------
 CS runs trek + parent; CSAPC inserts the cheap propagation between them;
 CSAP inserts the tested propagation instead. CA, the exhaustive
-baseline, runs the CA stage alone. TREK_ONLY stops after the trek step.
+baseline, runs the CA stage alone. TREK_ONLY stops after the trek step;
+``trek_step`` returns that run's graph.
 
 The cheap and tested propagation steps assume the oracle is faithful to
 some ground-truth graph (a graphical oracle is); under an unfaithful
@@ -99,31 +104,21 @@ class LearnResult:
     trace: tuple
 
 
-class _Work:
-    """Mutable working copy of a directed graph, kept as one parent set per node."""
+def _complete(nodes) -> dict:
+    """The complete graph over ``nodes`` as a parent map: every node is every node's parent."""
+    return {b: set(nodes) for b in nodes}
 
-    def __init__(self, nodes: Sequence[int]):
-        self.nodes = tuple(sorted(nodes))
-        self.parents = {b: set(self.nodes) for b in self.nodes}
 
-    def has(self, a: int, b: int) -> bool:
-        return a in self.parents[b]
+def _parent_map(g: DirectedMixedGraph) -> dict:
+    """A mutable copy of ``g``: node -> set of its parents, nodes in id order."""
+    if g.bidirected:
+        raise GraphError("screening works on directed graphs only")
+    return {b: set(g.parents(b)) for b in g.nodes}
 
-    def remove(self, a: int, b: int) -> None:
-        self.parents[b].discard(a)
 
-    @classmethod
-    def from_graph(cls, g: DirectedMixedGraph) -> "_Work":
-        if g.bidirected:
-            raise GraphError("screening works on directed graphs only")
-        w = cls.__new__(cls)
-        w.nodes = g.nodes
-        w.parents = {b: set(g.parents(b)) for b in g.nodes}
-        return w
-
-    def freeze(self, labels=None) -> DirectedMixedGraph:
-        edges = [(a, b) for b, ps in self.parents.items() for a in ps]
-        return DirectedMixedGraph(self.nodes, edges, (), labels=labels)
+def _graph(parents: dict, labels) -> DirectedMixedGraph:
+    edges = [(a, b) for b, ps in parents.items() for a in ps]
+    return DirectedMixedGraph(parents, edges, (), labels=labels)
 
 
 def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):
@@ -135,23 +130,17 @@ def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):
     return pairs
 
 
-def _observed(oracle, observed) -> tuple[int, ...]:
-    if observed is None:
-        observed = oracle.observed
-    return tuple(sorted(observed))
+# -- the pair loop and the triple sweep (operate on a parent map) ----------
 
 
-# -- the pair loop and the triple sweep (operate on _Work) -----------------
-
-
-def _screen(oracle, work, pairs, stage, sets, trace, certs):
+def _screen(oracle, parents, pairs, stage, sets, trace, certs):
     """Delete each present a -> b at the first ``given`` in ``sets`` that separates."""
     for a, b in pairs:
-        if not work.has(a, b):
+        if a not in parents[b]:
             continue
-        for given in sets(work, a, b):
+        for given in sets(parents, a, b):
             if oracle.query({a}, {b}, given):
-                work.remove(a, b)
+                parents[b].discard(a)
                 certs[(a, b)] = frozenset(given)
                 trace.append(TraceEntry((a, b), "removed", stage))
                 break
@@ -159,43 +148,42 @@ def _screen(oracle, work, pairs, stage, sets, trace, certs):
             trace.append(TraceEntry((a, b), "kept", stage))
 
 
-def _trek_sets(work, a, b):
+def _trek_sets(parents, a, b):
     return ((b,),)
 
 
-def _parent_sets(work, a, b):
-    return (frozenset(work.parents[b] - {a}),)
+def _parent_sets(parents, a, b):
+    return (frozenset(parents[b] - {a}),)
 
 
-def _ca_sets(work, a, b):
-    rest = [v for v in work.nodes if v != a]
+def _ca_sets(parents, a, b):
+    rest = [v for v in parents if v != a]
     return chain.from_iterable(combinations(rest, k) for k in range(len(rest) + 1))
 
 
-def _propagate(work, trace, front, test):
+def _propagate(parents, trace, front, test):
     """Batch-delete b -> c for each triple (a, b, c) passing ``front`` and ``test``."""
     doomed = set()
-    nodes = work.nodes
-    for a in nodes:
-        for b in nodes:
-            if b == a or not front(work, a, b):
+    for a in parents:
+        for b in parents:
+            if b == a or not front(parents, a, b):
                 continue
-            for c in nodes:
-                if c in (a, b) or not work.has(b, c) or work.has(a, c):
+            for c, pc in parents.items():
+                if c in (a, b) or b not in pc or a in pc:
                     continue
                 if test(a, c):
                     doomed.add((b, c))
     for b, c in sorted(doomed):
-        work.remove(b, c)
+        parents[c].discard(b)
         trace.append(TraceEntry((b, c), "removed", "ancestry"))
 
 
-def _one_way(work, a, b):
-    return work.has(a, b) and not work.has(b, a)
+def _one_way(parents, a, b):
+    return a in parents[b] and b not in parents[a]
 
 
-def _either_way(work, a, b):
-    return work.has(a, b) or work.has(b, a)
+def _either_way(parents, a, b):
+    return a in parents[b] or b in parents[a]
 
 
 # -- public single-step operations -----------------------------------------
@@ -206,31 +194,28 @@ def trek_step(oracle, observed=None) -> DirectedMixedGraph:
 
     Uses exactly n(n-1) oracle calls for n observed nodes.
     """
-    obs = _observed(oracle, observed)
-    work = _Work(obs)
-    _screen(oracle, work, _ordered_pairs(obs, "lex", 0), "trek", _trek_sets, [], {})
-    return work.freeze([oracle.label(v) for v in sorted(obs)])
+    return run(Algorithm.TREK_ONLY, oracle, observed).graph
 
 
 def parent_step(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """One live pass of parent-set tests over the present edges of ``dg``."""
-    work = _Work.from_graph(dg)
-    _screen(oracle, work, _ordered_pairs(work.nodes, "lex", 0), "parent", _parent_sets, [], {})
-    return work.freeze(dg.labels())
+    parents = _parent_map(dg)
+    _screen(oracle, parents, _ordered_pairs(dg.nodes, "lex", 0), "parent", _parent_sets, [], {})
+    return _graph(parents, dg.labels())
 
 
 def ancestry_propagation_cheap(dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """Query-free batch deletion of edges contradicted by ancestry patterns."""
-    work = _Work.from_graph(dg)
-    _propagate(work, [], _one_way, lambda a, c: True)
-    return work.freeze(dg.labels())
+    parents = _parent_map(dg)
+    _propagate(parents, [], _one_way, lambda a, c: True)
+    return _graph(parents, dg.labels())
 
 
 def ancestry_propagation(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """Batch deletion driven by marginal-independence queries on triples."""
-    work = _Work.from_graph(dg)
-    _propagate(work, [], _either_way, lambda a, c: oracle.query({a}, {c}, ()))
-    return work.freeze(dg.labels())
+    parents = _parent_map(dg)
+    _propagate(parents, [], _either_way, lambda a, c: oracle.query({a}, {c}, ()))
+    return _graph(parents, dg.labels())
 
 
 # -- composed runs ----------------------------------------------------------
@@ -248,29 +233,29 @@ def run(algorithm, oracle, observed=None, *, order: str = "lex",
     over the run.
     """
     algorithm = Algorithm(algorithm)
-    obs = _observed(oracle, observed)
+    obs = tuple(sorted(oracle.observed if observed is None else observed))
     if len(obs) < 1:
         raise GraphError("observed set must be nonempty")
     pairs = _ordered_pairs(obs, order, seed)
 
-    work = _Work(obs)
+    parents = _complete(obs)
     trace: list = []
     certs: dict = {}
     calls_before = oracle.calls
 
     if algorithm is Algorithm.CA:
-        _screen(oracle, work, pairs, "ca", _ca_sets, trace, certs)
+        _screen(oracle, parents, pairs, "ca", _ca_sets, trace, certs)
     else:
-        _screen(oracle, work, pairs, "trek", _trek_sets, trace, certs)
+        _screen(oracle, parents, pairs, "trek", _trek_sets, trace, certs)
         if algorithm is Algorithm.CSAPC:
-            _propagate(work, trace, _one_way, lambda a, c: True)
+            _propagate(parents, trace, _one_way, lambda a, c: True)
         elif algorithm is Algorithm.CSAP:
-            _propagate(work, trace, _either_way, lambda a, c: oracle.query({a}, {c}, ()))
+            _propagate(parents, trace, _either_way, lambda a, c: oracle.query({a}, {c}, ()))
         if algorithm is not Algorithm.TREK_ONLY:
-            _screen(oracle, work, pairs, "parent", _parent_sets, trace, certs)
+            _screen(oracle, parents, pairs, "parent", _parent_sets, trace, certs)
 
     return LearnResult(
-        graph=work.freeze([oracle.label(v) for v in sorted(obs)]),
+        graph=_graph(parents, [oracle.label(v) for v in obs]),
         algorithm=algorithm,
         oracle_calls=oracle.calls - calls_before,
         certificates=certs,

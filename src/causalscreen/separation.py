@@ -29,8 +29,9 @@ chosen departure. The graph is compiled into an int-state form (see
 :class:`GraphicalOracle`. A query's node ids become search states by one
 lookup each in that form's maps (node index for the sources and
 conditioning set, head state for the targets), and the lookup is the
-query's validation: an id is valid exactly when it is a key there, so
-ints and numpy ints pass and ``1.5`` or ``"1"`` raise :class:`GraphError`.
+query's validation: any value equal to a node id names that node
+(``1``, ``np.int64(1)``, but also ``1.0`` or ``True``), and ``1.5`` or
+``"1"`` raise :class:`GraphError`.
 
 The set of states reachable from ``A`` given ``C`` does not depend on the
 targets, so the search is an object that can pause and resume (see

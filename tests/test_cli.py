@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -253,8 +254,39 @@ def test_module_entry_point(graph_file):
     assert proc.stdout == "A;B;C;answer\ne;d;d;false\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--observed", "a,d,e,f", "--algo", "csap", "--order", "random",
+     "--seed", "5", "--emit-certificates", "--emit-trace"],
+    ["connectome", "--threshold", "4", "--sample", "5", "--seed", "11"],
+    ["connectome", "--threshold", "4", "--sample", "5", "--seed", "11", "--format", "json"],
+    ["musep", "-A", "e,a", "-B", "d", "-C", "d,b"],
+], ids=["learn", "connectome-csv", "connectome-json", "musep"])
+def test_reruns_are_byte_identical_across_hash_seeds(graph_file, synapse_file, argv):
+    """String hashing changes with PYTHONHASHSEED; the output bytes must not."""
+    argv = argv[:1] + (["--file", synapse_file] if argv[0] == "connectome"
+                       else ["--graph", graph_file]) + argv[1:]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "causalscreen", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
+
+
 class TestFailuresEndAsErrors:
     """Failed runs print ``error: ...`` and exit 2 instead of a traceback."""
+
+    def test_nodes_must_be_an_array(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"nodes": "abc"}))
+        rc = main(["learn", "--graph", str(path)])
+        assert rc == 2
+        assert "error: graph document must contain a 'nodes' array" in capsys.readouterr().err
 
     def test_malformed_edge(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

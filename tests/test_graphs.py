@@ -120,6 +120,7 @@ class TestConstruction:
         ({"directed": [(0,)]}, ValueError, "not enough values to unpack"),
         ({"directed": [5]}, TypeError, None),
         ({"bidirected": [("0", "x")]}, GraphError, "node id '0' is not an integer"),
+        ({"directed": [(True, 2)]}, GraphError, "node id True is not an integer"),
     ])
     def test_bad_edges(self, kwargs, error, message):
         with pytest.raises(error) as info:
@@ -134,13 +135,16 @@ class TestConstruction:
         assert g.bidirected == {(1, 2)}
         assert all(type(v) is int for e in g.directed | g.bidirected for v in e)
 
-    @pytest.mark.parametrize("bad", [1.7, "1", 2.5])
-    @pytest.mark.parametrize("role", ["nodes", "directed", "bidirected"])
+    @pytest.mark.parametrize("bad", [1.7, "1", 2.5, True, np.float64(2.0), None])
+    @pytest.mark.parametrize("role", ["nodes", "directed", "bidirected", "count"])
     def test_non_integer_ids_rejected(self, role, bad):
         args = {"nodes": ([0, bad, 3],),
                 "directed": (3, [(0, bad)]),
-                "bidirected": (3, (), [(bad, 0)])}[role]
-        with pytest.raises(GraphError, match=re.escape(f"node id {bad!r} is not an integer")):
+                "bidirected": (3, (), [(bad, 0)]),
+                "count": (bad,)}[role]
+        # a string is not a count but an iterable of (bad) ids
+        what = "node count" if role == "count" and not isinstance(bad, str) else "node id"
+        with pytest.raises(GraphError, match=re.escape(f"{what} {bad!r} is not an integer")):
             DirectedMixedGraph(*args)
 
     def test_graph_holds_no_derived_state(self):
@@ -314,6 +318,19 @@ class TestSerialization:
         doc = {"nodes": ["a", "b", "c"], key: [[0, 1], edge]}
         with pytest.raises(GraphError, match=re.escape(f"malformed {key} edge {edge!r}:")):
             DirectedMixedGraph.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"nodes": "abc"}, {"nodes": {"a": 1}}, {"nodes": None}, {},
+        {"nodes": ["a", None]}, {"nodes": [True]}, {"nodes": [["a"]]}, ["a"],
+    ])
+    def test_nodes_must_be_an_array_of_names(self, doc):
+        with pytest.raises(GraphError, match="must contain a 'nodes' array of strings or numbers"):
+            DirectedMixedGraph.from_json_dict(doc)
+
+    def test_numeric_node_names_become_labels(self):
+        g = DirectedMixedGraph.from_json('{"nodes": ["a", 2, 1.5], "directed": [["a", 1.5]]}')
+        assert g.labels() == ("a", "2", "1.5")
+        assert g.nonloop_directed == {(0, 2)}
 
     def test_edge_section_must_be_an_array(self):
         with pytest.raises(GraphError, match="'directed' must be an array"):

@@ -1,5 +1,7 @@
 """Screening stages and their compositions against the graphical oracle."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalscreen import (
     Algorithm,
@@ -19,6 +21,7 @@ from causalscreen.separation import HEAD, TAIL
 from conftest import DEMO_OBS
 from helpers import (
     brute_force_mu_separated,
+    graph_strategy,
     powerset,
     random_corpus,
     random_observed,
@@ -69,6 +72,12 @@ class TestTrekStep:
             m = len(obs)
             assert oracle.calls == m * (m - 1)
 
+    def test_empty_observed_set_is_rejected(self, chain3):
+        oracle = GraphicalOracle(chain3)
+        with pytest.raises(GraphError, match="observed set must be nonempty"):
+            trek_step(oracle, ())
+        assert oracle.calls == 0
+
 
 class TestParentStep:
     def chain_and_trek(self):
@@ -94,8 +103,15 @@ class TestParentStep:
         assert last.given == frozenset({2})
 
     def test_rejects_bidirected_input(self, chain3):
-        with pytest.raises(GraphError):
-            parent_step(GraphicalOracle(chain3), DirectedMixedGraph(3, bidirected=[(0, 1)]))
+        """Every step that takes a graph refuses one with bidirected edges."""
+        oracle = GraphicalOracle(chain3)
+        mixed = DirectedMixedGraph(3, bidirected=[(0, 1)])
+        for step in (lambda: parent_step(oracle, mixed),
+                     lambda: ancestry_propagation(oracle, mixed),
+                     lambda: ancestry_propagation_cheap(mixed)):
+            with pytest.raises(GraphError, match="screening works on directed graphs only"):
+                step()
+        assert oracle.calls == 0
 
 
 class TestAncestryPropagation:
@@ -283,6 +299,24 @@ class TestComposedRuns:
     def test_rejects_bad_order(self, chain3):
         with pytest.raises(ValueError):
             run("cs", GraphicalOracle(chain3), order="sideways")
+
+    @given(graph_strategy(max_n=7), st.data())
+    @settings(max_examples=80)
+    def test_steps_compose_to_run(self, g, data):
+        """trek_step, an optional propagation and parent_step give run's graph
+        and call count; the traced benchmark pass relies on this."""
+        obs = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+        for algo in ("cs", "csapc", "csap"):
+            oracle = GraphicalOracle(g, obs)
+            d = trek_step(oracle)
+            if algo == "csapc":
+                d = ancestry_propagation_cheap(d)
+            elif algo == "csap":
+                d = ancestry_propagation(oracle, d)
+            d = parent_step(oracle, d)
+            res = run(algo, GraphicalOracle(g, obs))
+            assert (d, d.labels()) == (res.graph, res.graph.labels())
+            assert oracle.calls == res.oracle_calls
 
     def test_trace_covers_every_pair_decision(self, demo_graph):
         res = run("cs", oracle_for(demo_graph))
