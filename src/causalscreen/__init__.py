@@ -5,86 +5,22 @@ walk-based separation and the query oracle (:mod:`causalscreen.separation`),
 the screening algorithms (:mod:`causalscreen.screening`), a linear Hawkes
 simulator (:mod:`causalscreen.hawkes`), and the benchmark and connectome
 harnesses (:mod:`causalscreen.experiments`, :mod:`causalscreen.connectome`).
+Each module's ``__all__`` is the one list of its public names; this package
+exports their union.
 """
 
-from .graphs import (
-    DirectedMixedGraph,
-    GraphError,
-    ancestors,
-    canonical_dg,
-    directed_part,
-    latent_projection,
-    parent_graph,
-)
-from .separation import (
-    GraphicalOracle,
-    SeparationQuery,
-    mu_separated,
-)
-from .screening import (
-    Algorithm,
-    LearnResult,
-    TraceEntry,
-    ancestry_propagation,
-    ancestry_propagation_cheap,
-    parent_step,
-    run,
-    trek_step,
-)
-from .hawkes import (
-    EventHistory,
-    ExponentialKernel,
-    HawkesModel,
-    Intervention,
-    SimulationError,
-    causal_graph,
-    compensator,
-    intensity,
-    rescaled_intervals,
-    simulate,
-    simulate_intervened,
-    stationarity_check,
-    stationary_rates,
-)
-from .experiments import (
-    CorpusConfig,
-    MetricsRow,
-    SoundnessViolation,
-    aggregate,
-    bench_run,
-    excess_edges,
-    indegrees,
-    outdegrees,
-    random_dmg,
-    spearman,
-    topk_overlap,
-    write_metrics_csv,
-)
-from .connectome import (
-    ConnectomeResult,
-    ConnectomeSpec,
-    degree_weights,
-    ingest_connectome,
-    run_connectome,
-    subsample,
-)
+from . import connectome, experiments, graphs, hawkes, screening, separation
+from .graphs import *
+from .separation import *
+from .screening import *
+from .hawkes import *
+from .experiments import *
+from .connectome import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DirectedMixedGraph", "GraphError", "ancestors", "canonical_dg",
-    "directed_part", "latent_projection", "parent_graph",
-    "GraphicalOracle", "SeparationQuery", "mu_separated",
-    "Algorithm", "LearnResult", "TraceEntry", "ancestry_propagation",
-    "ancestry_propagation_cheap", "parent_step", "run", "trek_step",
-    "EventHistory", "ExponentialKernel", "HawkesModel", "Intervention",
-    "SimulationError", "causal_graph", "compensator", "intensity",
-    "rescaled_intervals", "simulate", "simulate_intervened",
-    "stationarity_check", "stationary_rates",
-    "CorpusConfig", "MetricsRow", "SoundnessViolation", "aggregate", "bench_run",
-    "excess_edges", "indegrees", "outdegrees", "random_dmg", "spearman",
-    "topk_overlap", "write_metrics_csv",
-    "ConnectomeResult", "ConnectomeSpec", "degree_weights", "ingest_connectome",
-    "run_connectome", "subsample",
+    *graphs.__all__, *separation.__all__, *screening.__all__,
+    *hawkes.__all__, *experiments.__all__, *connectome.__all__,
     "__version__",
 ]

@@ -34,7 +34,7 @@ from .graphs import DirectedMixedGraph, GraphError
 from .hawkes import (EVENT_CAP_DEFAULT, HawkesModel, Intervention, SimulationError,
                      simulate_intervened)
 from .screening import Algorithm, run
-from .separation import GraphicalOracle
+from .separation import GraphicalOracle, mu_separated
 
 __all__ = ["main"]
 
@@ -63,17 +63,18 @@ def _split_labels(raw: str) -> list:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
-def _resolve_nodes(g: DirectedMixedGraph, tokens: Sequence[str]) -> list:
+def _resolve_nodes(g: DirectedMixedGraph, raw: str) -> list:
+    """The ids named in ``raw`` by label or id, deduplicated, in id order."""
     by_label = dict(zip(g.labels(), g.nodes))
-    out = []
-    for tok in tokens:
+    out = set()
+    for tok in _split_labels(raw):
         if tok in by_label:
-            out.append(by_label[tok])
+            out.add(by_label[tok])
         elif tok.isdigit() and int(tok) in g.node_set:
-            out.append(int(tok))
+            out.add(int(tok))
         else:
             raise GraphError(f"unknown node {tok!r}")
-    return out
+    return sorted(out)
 
 
 def _load_graph(path: str) -> DirectedMixedGraph:
@@ -89,7 +90,7 @@ def _cmd_learn(ns) -> int:
     if ns.observed is None:
         observed = truth.nodes
     else:
-        observed = sorted(set(_resolve_nodes(truth, _split_labels(ns.observed))))
+        observed = _resolve_nodes(truth, ns.observed)
     oracle = GraphicalOracle(truth, observed)
     result = run(ns.algo, oracle, order=ns.order, seed=ns.seed)
 
@@ -203,21 +204,18 @@ def _cmd_connectome(ns) -> int:
 
 def _cmd_musep(ns) -> int:
     g = _load_graph(ns.graph)
-    sources = _resolve_nodes(g, _split_labels(ns.sources))
-    targets = _resolve_nodes(g, _split_labels(ns.targets))
-    given = _resolve_nodes(g, _split_labels(ns.given)) if ns.given else []
-    oracle = GraphicalOracle(g, keep_log=True)
-    independent = oracle.query(sources, targets, given)
+    sources = _resolve_nodes(g, ns.sources)
+    targets = _resolve_nodes(g, ns.targets)
+    given = _resolve_nodes(g, ns.given) if ns.given else []
+    independent = mu_separated(g, sources, targets, given)
+    labels = [[g.label(v) for v in vs] for vs in (sources, targets, given)]
     with _out(ns.out) as fh:
         if ns.format == "json":
-            _dump_json({
-                "sources": sorted(g.label(v) for v in sources),
-                "targets": sorted(g.label(v) for v in targets),
-                "given": sorted(g.label(v) for v in given),
-                "independent": independent,
-            }, fh)
+            doc = dict(zip(("sources", "targets", "given"), map(sorted, labels)))
+            _dump_json({**doc, "independent": independent}, fh)
         else:
-            oracle.export_log_csv(fh)
+            answer = "true" if independent else "false"
+            fh.write("A;B;C;answer\n" + ";".join([*map("|".join, labels), answer]) + "\n")
     return 0
 
 
@@ -300,10 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connectome", parents=[common],
                        help="ingest a synapse table, subsample, screen, score")
     p.add_argument("--file", required=True, help="synapse CSV (pre,post,count,type)")
-    p.add_argument("--threshold", type=int, default=4,
+    p.add_argument("--threshold", type=int, default=ConnectomeSpec.threshold,
                    help="minimum synapse count for chemical edges (strict >)")
-    p.add_argument("--sample", type=int, default=75, help="observed subsample size")
-    p.add_argument("--weight-exponent", type=float, default=1.0,
+    p.add_argument("--sample", type=int, default=ConnectomeSpec.sample,
+                   help="observed subsample size")
+    p.add_argument("--weight-exponent", type=float, default=ConnectomeSpec.weight_exponent,
                    help="degree-weighting exponent for subsampling")
     p.add_argument("--algo", choices=ALGO_CHOICES, default="cs")
     p.add_argument("--topk", type=int, default=15, help="hub-overlap cutoff")

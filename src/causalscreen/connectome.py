@@ -240,18 +240,18 @@ def run_connectome(fh: IO[str], spec: ConnectomeSpec, algorithm, seed: int, *,
     result = run(algorithm, oracle)
 
     k = min(topk, len(sample))
-    sp_in = _safe_spearman(indegrees(truth_parent), indegrees(result.graph))
-    sp_out = _safe_spearman(outdegrees(truth_parent), outdegrees(result.graph))
+    true_in, true_out = indegrees(truth_parent), outdegrees(truth_parent)
+    learned_in, learned_out = indegrees(result.graph), outdegrees(result.graph)
     return ConnectomeResult(
         algorithm=algorithm.value,
         observed=tuple(truth_dmg.label(v) for v in sample),
         true_edges=len(truth_parent.nonloop_directed),
         excess=excess_edges(result.graph, truth_parent),
         calls=result.oracle_calls,
-        spearman_in=sp_in,
-        spearman_out=sp_out,
-        topk_in=topk_overlap(indegrees(truth_parent), indegrees(result.graph), k),
-        topk_out=topk_overlap(outdegrees(truth_parent), outdegrees(result.graph), k),
+        spearman_in=_safe_spearman(true_in, learned_in),
+        spearman_out=_safe_spearman(true_out, learned_out),
+        topk_in=topk_overlap(true_in, learned_in, k),
+        topk_out=topk_overlap(true_out, learned_out, k),
         k=k,
         truth_parent=truth_parent,
         learned=result.graph,

@@ -22,7 +22,7 @@ import json
 import operator
 from collections import deque
 from collections.abc import Iterable, Mapping
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, TextIO, Union
 
 __all__ = [
     "GraphError",
@@ -209,12 +209,6 @@ class DirectedMixedGraph:
     def labels(self) -> tuple[str, ...]:
         return tuple(self._labels[v] for v in self._nodes)
 
-    def node_by_label(self, label: str) -> int:
-        for v, lab in self._labels.items():
-            if lab == label:
-                return v
-        raise GraphError(f"unknown node label {label!r}")
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -313,11 +307,6 @@ class DirectedMixedGraph:
             fh.write(text)
         return text
 
-    # -- derived views -----------------------------------------------------
-
-    def _sublabels(self, ids: Sequence[int]) -> list:
-        return [self._labels[v] for v in sorted(ids)]
-
 
 def _check_subset(g: DirectedMixedGraph, vs: Iterable[int]) -> frozenset:
     vs = frozenset(vs)
@@ -384,7 +373,7 @@ def parent_graph(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixe
                 elif c not in seen_hidden:
                     seen_hidden.add(c)
                     frontier.append(c)
-    return DirectedMixedGraph(obs, edges, (), labels=g._sublabels(obs))
+    return DirectedMixedGraph(obs, edges, (), labels=g._labels)
 
 
 def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixedGraph:
@@ -431,7 +420,7 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
         # nodes of R(a) and their siblings: R(b) meeting this set gives a <-> b
         touch = ra.union(*map(siblings.get, ra))
         bidirected.extend((a, b) for b in order[i + 1:] if not touch.isdisjoint(reach[b]))
-    return DirectedMixedGraph(obs, directed, bidirected, labels=g._sublabels(obs))
+    return DirectedMixedGraph(obs, directed, bidirected, labels=g._labels)
 
 
 def canonical_dg(g: DirectedMixedGraph) -> tuple[DirectedMixedGraph, frozenset]:

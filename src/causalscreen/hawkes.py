@@ -120,6 +120,13 @@ def _float(value, where: str) -> float:
     return _floats((value,), where)[0]
 
 
+def _horizon(value) -> float:
+    horizon = _float(value, "horizon")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be finite and > 0")
+    return horizon
+
+
 def _json_number(value, where: str) -> float:
     if not _is_json_number(value):
         raise ValueError(f"{where} must be a number, got {value!r}")
@@ -157,11 +164,9 @@ class HawkesModel:
             for k in row:
                 if not isinstance(k, ExponentialKernel):
                     raise TypeError("kernel entries must be ExponentialKernel")
-        if not (self.horizon > 0.0 and math.isfinite(_float(self.horizon, "horizon"))):
-            raise ValueError("horizon must be finite and > 0")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kernels", rows)
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", _horizon(self.horizon))
 
     @property
     def n(self) -> int:
@@ -226,6 +231,7 @@ class EventHistory:
     horizon: float
 
     def __post_init__(self):
+        horizon = _horizon(self.horizon)
         rows = []
         for seq in self.times:
             row = _floats(seq, "event time")
@@ -234,13 +240,13 @@ class EventHistory:
             for prev, cur in zip(row, row[1:]):
                 if not cur > prev:
                     raise ValueError("event times must be strictly increasing per node")
-            if row and (row[0] < 0.0 or row[-1] > self.horizon):
+            if row and (row[0] < 0.0 or row[-1] > horizon):
                 raise ValueError("event times must lie within [0, horizon]")
             rows.append(row)
         if not rows:
             raise ValueError("history needs at least one node")
         object.__setattr__(self, "times", tuple(rows))
-        object.__setattr__(self, "horizon", _float(self.horizon, "horizon"))
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def n(self) -> int:

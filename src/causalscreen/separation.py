@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .graphs import DirectedMixedGraph, GraphError, latent_projection
 # Not called here; importable from this module because perfbench/tracing.py
@@ -57,8 +57,6 @@ from .graphs import DirectedMixedGraph, GraphError, latent_projection
 from .graphs import ancestors
 
 __all__ = [
-    "HEAD",
-    "TAIL",
     "mu_separated",
     "SeparationQuery",
     "GraphicalOracle",
@@ -330,17 +328,3 @@ class GraphicalOracle:
             if self._log is not None:
                 self._log.append(SeparationQuery(sources, targets, given, answer))
         return answer
-
-    def export_log_csv(self, fh: TextIO) -> None:
-        """Write the query log as ``A;B;C;answer`` rows, labels |-joined."""
-        if self._log is None:
-            raise ValueError("oracle was created without keep_log")
-        fh.write("A;B;C;answer\n")
-        lab = self._graph.label
-        for q in self._log:
-            fh.write(";".join([
-                "|".join(lab(v) for v in sorted(q.sources)),
-                "|".join(lab(v) for v in sorted(q.targets)),
-                "|".join(lab(v) for v in sorted(q.given)),
-                "true" if q.independent else "false",
-            ]) + "\n")

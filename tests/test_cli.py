@@ -124,6 +124,29 @@ class TestMusep:
             "independent": False,
         }
 
+    # CSV lists labels in id order (g is node 2, d node 3), JSON by label
+    MULTI = ["musep", "-A", "e,a", "-B", "g,d"]
+    MULTI_CSV = "A;B;C;answer\na|e;g|d;;false\n"
+    MULTI_JSON = ('{\n  "given": [],\n  "independent": false,\n'
+                  '  "sources": [\n    "a",\n    "e"\n  ],\n'
+                  '  "targets": [\n    "d",\n    "g"\n  ]\n}\n')
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_multi_node_golden(self, graph_file, capsys, fmt):
+        rc = main(["--format", fmt] + self.MULTI + ["--graph", graph_file])
+        assert rc == 0
+        expected = self.MULTI_CSV if fmt == "csv" else self.MULTI_JSON
+        assert capsys.readouterr().out == expected
+
+    def test_node_named_twice_is_listed_once(self, graph_file, capsys):
+        args = ["musep", "--graph", graph_file, "-A", "d,d,3", "-B", "e,e", "-C", "a,a"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == "A;B;C;answer\nd;e;a;false\n"
+        assert main(["--format", "json"] + args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"sources": ["d"], "targets": ["e"], "given": ["a"],
+                           "independent": False}
+
     def test_unknown_node(self, graph_file, capsys):
         rc = main(["musep", "--graph", graph_file, "-A", "qq", "-B", "d"])
         assert rc == 2

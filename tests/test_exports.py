@@ -1,14 +1,16 @@
-"""Every exported name resolves, and the test-only checkers stay out of the package."""
+"""Every exported name resolves, the package exports exactly its library modules'
+names, and the test-only checkers stay out of the package."""
 import importlib
 
 import pytest
 
 import causalscreen
 
-MODULES = [causalscreen] + [
+LIBRARY = [
     importlib.import_module(f"causalscreen.{name}")
-    for name in ("graphs", "separation", "screening", "hawkes", "experiments", "connectome", "cli")
+    for name in ("graphs", "separation", "screening", "hawkes", "experiments", "connectome")
 ]
+MODULES = [causalscreen, *LIBRARY, importlib.import_module("causalscreen.cli")]
 
 # Checkers of the definitions, kept in tests/helpers.py rather than the package.
 TEST_ONLY = (
@@ -25,6 +27,17 @@ TEST_ONLY = (
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("module", LIBRARY, ids=lambda m: m.__name__)
+def test_package_reexports_each_library_name(module):
+    assert [name for name in module.__all__
+            if getattr(causalscreen, name, None) is not getattr(module, name)] == []
+
+
+def test_package_exports_the_library_names_and_nothing_else():
+    library = {name for module in LIBRARY for name in module.__all__}
+    assert set(causalscreen.__all__) == library | {"__version__"}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

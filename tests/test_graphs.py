@@ -68,7 +68,6 @@ class TestConstruction:
             DirectedMixedGraph(2, labels=("x",))
         g = DirectedMixedGraph(2, labels=("p", "q"))
         assert g.label(1) == "q"
-        assert g.node_by_label("p") == 0
 
     def test_labels_as_mapping(self):
         g = DirectedMixedGraph([4, 7], labels={7: "hi", 4: "lo"})
@@ -174,6 +173,7 @@ class TestParentGraphAndProjection:
     def test_parent_graph_demo(self, demo_graph):
         pg = parent_graph(demo_graph, DEMO_OBS)
         assert pg.nodes == DEMO_OBS
+        assert pg.labels() == ("a", "d", "e")
         assert self._nonloop(pg) == {(0, 3), (3, 4)}
 
     @staticmethod

@@ -164,6 +164,11 @@ class TestEventHistory:
                 EventHistory(times, 5.0)
         with pytest.raises(ValueError, match="event times must be finite"):
             EventHistory.from_csv(io.StringIO("node,time\n0,nan\n"), n=1, horizon=5.0)
+        for horizon in (math.nan, -1.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match=r"horizon must be finite and > 0"):
+                EventHistory(((0.5,),), horizon)
+        with pytest.raises(ValueError):
+            EventHistory(((0.5,),), "x")
 
     def test_merge_and_counts(self):
         h = EventHistory(((0.5, 2.0), (1.0,)), 10.0)

@@ -1,5 +1,4 @@
 """Walk-based separation: the search, the walk checker, the oracle."""
-import io
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -248,15 +247,6 @@ class TestOracle:
 
     def test_log_disabled_by_default(self, chain3):
         assert GraphicalOracle(chain3).log is None
-
-    def test_export_log_csv_golden(self):
-        g = DirectedMixedGraph(3, [(0, 1)], labels=("x", "y", "z"))
-        oracle = GraphicalOracle(g, keep_log=True)
-        oracle.query({0}, {1, 2}, {1})
-        oracle.query({2}, {0}, ())
-        buf = io.StringIO()
-        oracle.export_log_csv(buf)
-        assert buf.getvalue() == "A;B;C;answer\nx;y|z;y;false\nz;x;;true\n"
 
     def test_label_passthrough(self, demo_graph):
         oracle = GraphicalOracle(demo_graph, observed=(0, 3, 4))
