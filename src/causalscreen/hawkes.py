@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -88,9 +89,10 @@ class ExponentialKernel:
     b: float
 
     def __post_init__(self):
-        if not (self.a >= 0.0 and math.isfinite(_float(self.a, "kernel amplitude"))):
+        a, b = _number(self.a, "kernel amplitude"), _number(self.b, "kernel decay")
+        if not (a >= 0.0 and math.isfinite(a)):
             raise ValueError(f"kernel amplitude must be finite and >= 0, got {self.a!r}")
-        if not (self.b > 0.0 and math.isfinite(_float(self.b, "kernel decay"))):
+        if not (b > 0.0 and math.isfinite(b)):
             raise ValueError(f"kernel decay must be finite and > 0, got {self.b!r}")
 
     def __call__(self, u: float) -> float:
@@ -103,9 +105,9 @@ def _json_array(value, where: str):
     return value
 
 
-def _is_json_number(value) -> bool:
-    # bool is an int subclass, but JSON true is not a number
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    # bool is an int subclass, but True is not a number here, nor is JSON true
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _floats(values, where: str) -> tuple:
@@ -116,21 +118,18 @@ def _floats(values, where: str) -> tuple:
         raise ValueError(f"{where} is too large for a float") from None
 
 
-def _float(value, where: str) -> float:
-    return _floats((value,), where)[0]
-
-
 def _horizon(value) -> float:
-    horizon = _float(value, "horizon")
+    horizon = _number(value, "horizon")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
     return horizon
 
 
-def _json_number(value, where: str) -> float:
-    if not _is_json_number(value):
+def _number(value, where: str) -> float:
+    """A real number, as a float; strings and booleans are a ValueError naming where."""
+    if not _is_number(value):
         raise ValueError(f"{where} must be a number, got {value!r}")
-    return _float(value, where)
+    return _floats((value,), where)[0]
 
 
 def _node_index(node) -> int:
@@ -151,7 +150,7 @@ class HawkesModel:
     horizon: float
 
     def __post_init__(self):
-        mu = _floats(self.mu, "baseline rate")
+        mu = tuple(_number(x, "baseline rate") for x in self.mu)
         if not mu:
             raise ValueError("model needs at least one node")
         if any(not (x >= 0.0 and math.isfinite(x)) for x in mu):
@@ -198,7 +197,7 @@ class HawkesModel:
             horizon = data["T"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model JSON needs keys mu, kernels, T: {exc}") from exc
-        mu = tuple(_json_number(x, f"mu[{i}]") for i, x in enumerate(_json_array(mu, "mu")))
+        mu = tuple(_number(x, f"mu[{i}]") for i, x in enumerate(_json_array(mu, "mu")))
         kernels = []
         for i, row in enumerate(_json_array(rows, "kernels")):
             parsed = []
@@ -206,14 +205,14 @@ class HawkesModel:
                 where = f"kernels[{i}][{j}]"
                 if entry is None:
                     a, b = 0.0, 1.0
-                elif isinstance(entry, dict) and all(_is_json_number(entry.get(k)) for k in "ab"):
-                    a, b = (_json_number(entry[k], f"{where}.{k}") for k in "ab")
+                elif isinstance(entry, dict) and all(_is_number(entry.get(k)) for k in "ab"):
+                    a, b = (_number(entry[k], f"{where}.{k}") for k in "ab")
                 else:
                     raise ValueError(f"{where} must be null or an object with numbers "
                                      f"a and b, got {entry!r}")
                 parsed.append(ExponentialKernel(a, b))
             kernels.append(tuple(parsed))
-        return cls(mu, tuple(kernels), _json_number(horizon, "T"))
+        return cls(mu, tuple(kernels), _number(horizon, "T"))
 
     @classmethod
     def from_json(cls, fh: IO[str]) -> "HawkesModel":

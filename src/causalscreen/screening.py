@@ -24,7 +24,7 @@ its certificate. Self-pairs are never tested; loops are never deleted.
 * parent (``parent_step``): pa(b) minus a (b's loop keeps b in it), read
   live from the mutating graph, not from a snapshot.
 * CA: every subset of the observed nodes other than a, by increasing size,
-  lexicographic within a size.
+  lexicographic within a size; ``_ca_sets`` freezes them once per source.
 
 Both ancestry propagations are one triple sweep, ``_propagate``: each
 triple (a, b, c), in lexicographic order, with a front edge between a and
@@ -55,7 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .graphs import DirectedMixedGraph, GraphError
@@ -135,11 +135,13 @@ def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):
 
 def _screen(oracle, parents, pairs, stage, sets, trace, certs):
     """Delete each present a -> b at the first ``given`` in ``sets`` that separates."""
+    query = oracle.query
     for a, b in pairs:
         if a not in parents[b]:
             continue
+        source, target = frozenset((a,)), frozenset((b,))
         for given in sets(parents, a, b):
-            if oracle.query({a}, {b}, given):
+            if query(source, target, given):
                 parents[b].discard(a)
                 certs[(a, b)] = frozenset(given)
                 trace.append(TraceEntry((a, b), "removed", stage))
@@ -156,9 +158,25 @@ def _parent_sets(parents, a, b):
     return (frozenset(parents[b] - {a}),)
 
 
-def _ca_sets(parents, a, b):
-    rest = [v for v in parents if v != a]
-    return chain.from_iterable(combinations(rest, k) for k in range(len(rest) + 1))
+def _ca_sets():
+    """CA's set rule, which freezes the subsets of the nodes other than a once per a.
+
+    Only the current source's list is kept, so a run in random pair order
+    rebuilds it whenever the source changes. A frozen subset passes through
+    ``frozenset`` as itself, with its hash already cached.
+    """
+    current = {}
+
+    def sets(parents, a, b):
+        subsets = current.get(a)
+        if subsets is None:
+            rest = [v for v in parents if v != a]
+            current.clear()
+            current[a] = subsets = [frozenset(s) for k in range(len(rest) + 1)
+                                    for s in combinations(rest, k)]
+        return subsets
+
+    return sets
 
 
 def _propagate(parents, trace, front, test):
@@ -244,7 +262,7 @@ def run(algorithm, oracle, observed=None, *, order: str = "lex",
     calls_before = oracle.calls
 
     if algorithm is Algorithm.CA:
-        _screen(oracle, parents, pairs, "ca", _ca_sets, trace, certs)
+        _screen(oracle, parents, pairs, "ca", _ca_sets(), trace, certs)
     else:
         _screen(oracle, parents, pairs, "trek", _trek_sets, trace, certs)
         if algorithm is Algorithm.CSAPC:

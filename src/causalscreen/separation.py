@@ -24,21 +24,20 @@ reverse).
 
 The search runs over (node, arrival-mark) states, which is sound because
 the walk constraints at an occurrence depend only on that state and the
-chosen departure. The graph is compiled into an int-state form (see
-``_Compiled``), once per :func:`mu_separated` call and once per
-:class:`GraphicalOracle`. A query's node ids become search states by one
-lookup each in that form's maps (node index for the sources and
-conditioning set, head state for the targets), and the lookup is the
-query's validation: any value equal to a node id names that node
-(``1``, ``np.int64(1)``, but also ``1.0`` or ``True``), and ``1.5`` or
-``"1"`` raise :class:`GraphError`.
+chosen departure. It runs a whole layer of states at a time: the states
+with a tail arrival are one int bitmask over the nodes and those with a
+head arrival another (see ``_reach``). The graph is compiled into node
+masks (see ``_Compiled``), once per :func:`mu_separated` call and once
+per :class:`GraphicalOracle`. A query's node ids become bits by one
+lookup each in that form's map, and the lookup is the query's
+validation: any value equal to a node id names that node (``1``,
+``np.int64(1)``, but also ``1.0`` or ``True``), and ``1.5`` or ``"1"``
+raise :class:`GraphError`.
 
-The set of states reachable from ``A`` given ``C`` does not depend on the
-targets, so the search is an object that can pause and resume (see
-``_Search``): it stops at the first target it reaches, and a later query
-with the same ``A`` and ``C`` answers from the states already seen or
-resumes where it stopped. :func:`mu_separated` runs a fresh search per
-call; :class:`GraphicalOracle` keeps one per (sources, conditioning set).
+The set of head arrivals reachable from ``A`` given ``C`` does not depend
+on the targets. :func:`mu_separated` stops at the first layer that
+reaches a target; :class:`GraphicalOracle` keeps the whole set, one int
+per (sources, conditioning set), and answers every target set from it.
 
 The walk-level checkers that cross-validate the search against the
 definition (walk enumeration, a single-walk check) are test code and live
@@ -62,164 +61,129 @@ __all__ = [
     "GraphicalOracle",
 ]
 
-HEAD = 1
-TAIL = 0
-
-
 class _Compiled:
-    """Int-state form of one graph, answering separation by reachability.
+    """Node-mask form of one graph, answering separation by reachability.
 
-    Nodes are renumbered to ``0..N-1`` in sorted id order, and a walk state
-    (node ``i``, arrival mark ``m``) becomes the int ``2*i + m``; ``index``
-    maps each id to ``i`` and ``head`` maps it to its head state. Per node
-    there are three successor tuples over those states, read off the
-    graph's adjacency maps: departures by head (to each parent, arriving by
-    tail, and to each sibling, arriving by head), departures by tail (to
-    each child, arriving by head), and both together. The loop ``v -> v``
-    is in ``v``'s parents and children, so it contributes both of its
-    orientations. Ancestor sets are int bitmasks over the renumbered nodes,
-    one per node, filled on first use, so that anc(C) is the OR of the
-    masks of C. The form depends only on the graph, which is immutable;
-    its one owner fills the masks, and an oracle does so under its lock.
+    Nodes are renumbered to ``0..N-1`` in sorted id order, node ``i``
+    becomes the bit ``1 << i``, and ``bit`` maps each id to its bit. Per
+    node there are three int masks, read off the graph's adjacency maps:
+    its parents ``pa``, children ``ch`` and siblings ``sib``. The loop
+    ``v -> v`` puts ``v`` in its own ``pa`` and ``ch``, so it contributes
+    both of its orientations. Ancestor masks, one per node, are filled on
+    first use by the OR closure over ``pa``, so that anc(C) is the OR of
+    the masks of C. The form depends only on the graph, which is
+    immutable; its one owner fills the masks, and an oracle does so under
+    its lock.
     """
 
-    __slots__ = ("index", "head", "head_out", "tail_out", "all_out", "parents", "anc")
+    __slots__ = ("bit", "pa", "ch", "sib", "anc")
 
     def __init__(self, g: DirectedMixedGraph):
-        self.index = index = {v: i for i, v in enumerate(g.nodes)}
-        self.head = {v: 2 * i + HEAD for v, i in index.items()}
-        parents, children, siblings = g._parents, g._children, g._siblings
-        head_out, tail_out, par = [], [], []
-        for v in g.nodes:
-            ps = tuple(index[p] for p in parents[v])
-            par.append(ps)
-            head_out.append(tuple([2 * p + TAIL for p in ps]
-                                  + [2 * index[s] + HEAD for s in siblings[v]]))
-            tail_out.append(tuple(2 * index[c] + HEAD for c in children[v]))
-        self.head_out = tuple(head_out)
-        self.tail_out = tuple(tail_out)
-        self.all_out = tuple(h + t for h, t in zip(head_out, tail_out))
-        self.parents = tuple(par)
-        self.anc = [0] * len(index)
+        self.bit = bit = {v: 1 << i for i, v in enumerate(g.nodes)}
+        self.pa, self.ch, self.sib = (
+            tuple(sum(bit[w] for w in adj[v]) for v in g.nodes)
+            for adj in (g._parents, g._children, g._siblings))
+        self.anc = [0] * len(bit)
 
-    def ancestor_mask(self, i: int) -> int:
-        """Bitmask of the ancestors of node ``i`` (``i`` included)."""
-        mask = self.anc[i]
-        if not mask:
-            mask = 1 << i
-            stack = [i]
-            parents = self.parents
-            while stack:
-                for p in parents[stack.pop()]:
-                    bit = 1 << p
-                    if not mask & bit:
-                        mask |= bit
-                        stack.append(p)
-            self.anc[i] = mask
-        return mask
+    def ancestors(self, c: int) -> int:
+        """Bitmask of anc(C) for the bitmask ``c`` of C (C included)."""
+        out, masks, pa = 0, self.anc, self.pa
+        while c:
+            low = c & -c
+            c ^= low
+            i = low.bit_length() - 1
+            mask = masks[i]
+            if not mask:
+                mask = frontier = low
+                while frontier:
+                    step = 0
+                    while frontier:
+                        one = frontier & -frontier
+                        frontier ^= one
+                        step |= pa[one.bit_length() - 1]
+                    frontier = step & ~mask
+                    mask |= step
+                masks[i] = mask
+            out |= mask
+        return out
 
 
 _EMPTY_QUERY = "source and target sets must be nonempty"
 
 
-def _lookup(index: dict, nodes) -> set:
-    """``index``'s values for ``nodes``; an id that is not a key is unknown."""
+def _mask(bit: dict, nodes) -> int:
+    """The OR of ``bit``'s values for ``nodes``; an id that is not a key is unknown."""
+    mask = 0
     try:
-        return {index[v] for v in nodes}
+        for v in nodes:
+            mask |= bit[v]
     except KeyError as exc:
         raise GraphError(f"unknown nodes {[exc.args[0]]}") from None
+    return mask
 
 
-def _heads(form: _Compiled, targets) -> set:
-    """The head states of ``targets``, which must be known and nonempty."""
-    heads = _lookup(form.head, targets)
-    if not heads:
+def _start(form: _Compiled, sources, given) -> tuple:
+    """The masks of A and C, validated in that order; A must be nonempty."""
+    a, c = _mask(form.bit, sources), _mask(form.bit, given)
+    if not a:
         raise GraphError(_EMPTY_QUERY)
-    return heads
+    return a, c
 
 
-class _Search:
-    """Breadth-first search of the states reachable from A given C, paused at will.
+def _targets(form: _Compiled, targets) -> int:
+    """The mask of ``targets``, which must be known and nonempty."""
+    b = _mask(form.bit, targets)
+    if not b:
+        raise GraphError(_EMPTY_QUERY)
+    return b
 
-    ``seen`` marks every state discovered so far, and ``queue`` lists them
-    in discovery order, of which the first ``done`` are expanded. Neither
-    depends on the targets: a state's successors depend only on the state,
-    C and anc(C), both kept as bitmasks over the renumbered nodes. So one
-    search serves every target set queried with the same A and C.
-    :meth:`reaches` answers from ``seen`` when it can and otherwise resumes
-    the search, stopping at the first target state it discovers. At every
-    pause all successors of each expanded state are in ``seen``, so the
-    search can resume for the next target set.
+
+def _reach(form: _Compiled, a: int, c: int, targets: int = 0) -> int:
+    """The nodes with a head arrival reachable from A given C, as a mask.
+
+    Breadth first, a whole layer at a time, over two masks: ``tail``, the
+    nodes reached by a tail arrival (a source counts as one), and ``head``,
+    those reached by a head arrival. A node departs by head, to its
+    parents (arriving by tail) and siblings (arriving by head), when it
+    was reached by tail outside C or by head inside anc(C): a noncollider
+    must avoid C, a collider must be an ancestor of C. It departs by tail,
+    to its children (arriving by head), when it was reached at all outside
+    C. Each node departs each way once. The search stops early at the
+    first layer whose head arrivals meet ``targets``.
     """
-
-    __slots__ = ("form", "cmask", "anc", "seen", "queue", "done")
-
-    def __init__(self, form: _Compiled, sources, given):
-        a, cs = _lookup(form.index, sources), _lookup(form.index, given)
-        if not a:
-            raise GraphError(_EMPTY_QUERY)
-        masks = form.anc
-        cmask = anc = 0
-        for i in cs:
-            cmask |= 1 << i
-            anc |= masks[i] or form.ancestor_mask(i)
-        self.form = form
-        self.cmask = cmask
-        self.anc = anc
-        self.seen = seen = bytearray(2 * len(form.index))
-        # A source departs freely, as from a tail arrival outside C.
-        self.queue = queue = []
-        self.done = 0
-        for i in a - cs:
-            s = 2 * i + TAIL
-            seen[s] = 1
-            queue.append(s)
-
-    def reaches(self, heads: set) -> bool:
-        """True when a state in ``heads`` (head arrivals at targets) is reachable."""
-        seen = self.seen
-        for t in heads:
-            if seen[t]:
-                return True
-        queue, k = self.queue, self.done
-        form, cmask, anc = self.form, self.cmask, self.anc
-        head_out, tail_out, all_out = form.head_out, form.tail_out, form.all_out
-        push = queue.append
-        hit = False
-        while k < len(queue):
-            s = queue[k]
-            k += 1
-            v = s >> 1
-            if cmask >> v & 1:
-                # a noncollider must avoid C; a collider in C is in anc(C)
-                if s & HEAD:
-                    succ = head_out[v]
-                else:
-                    continue
-            elif s & HEAD and not anc >> v & 1:
-                succ = tail_out[v]   # collider must be an ancestor of C
-            else:
-                succ = all_out[v]
-            for w in succ:
-                if not seen[w]:
-                    seen[w] = 1
-                    push(w)
-                    if w in heads:
-                        # finish this state, so the paused search stays whole
-                        hit = True
-            if hit:
-                break
-        self.done = k
-        return hit
+    anc = form.ancestors(c)
+    pa, ch, sib = form.pa, form.ch, form.sib
+    outside = ~c
+    tail, head = a & outside, 0
+    by_head = by_tail = 0
+    while True:
+        new_head = (tail & outside | head & anc) & ~by_head
+        new_tail = (tail | head) & outside & ~by_tail
+        if not new_head | new_tail:
+            return head
+        by_head |= new_head
+        by_tail |= new_tail
+        while new_head:
+            low = new_head & -new_head
+            new_head ^= low
+            i = low.bit_length() - 1
+            tail |= pa[i]
+            head |= sib[i]
+        while new_tail:
+            low = new_tail & -new_tail
+            new_tail ^= low
+            head |= ch[low.bit_length() - 1]
+        if head & targets:
+            return head
 
 
 def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
                  targets: Iterable[int], given: Iterable[int] = ()) -> bool:
     """True when ``targets`` is separated from ``sources`` given ``given``.
 
-    Searches the (node, arrival-mark) states of the graph's compiled form;
-    reaching a head arrival at a node of ``targets`` witnesses a
-    connecting walk. Each call compiles the graph and keeps nothing.
+    Searches the graph's node-mask form; a head arrival at a node of
+    ``targets`` witnesses a connecting walk. Each call compiles the graph
+    and keeps nothing.
 
     >>> g = DirectedMixedGraph(3, directed=[(0, 1), (1, 2)])
     >>> mu_separated(g, {0}, {2}, {1})
@@ -227,16 +191,19 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     >>> mu_separated(g, {0}, {2})
     False
     """
-    search = _Search(_Compiled(g), sources, given)
-    return not search.reaches(_heads(search.form, targets))
+    form = _Compiled(g)
+    a, c = _start(form, sources, given)
+    b = _targets(form, targets)
+    return not _reach(form, a, c, b) & b
 
 
 # -- the local-independence oracle ----------------------------------------
 
-# Paused searches one oracle keeps before it drops them all and starts
-# again; each takes about 1 KB on small graphs. CA on n observed nodes asks
-# n * 2**(n-1) (sources, conditioning set) pairs but reuses only those of
-# the source it is on, so the bound caps memory and costs CA little reuse.
+# Reach masks one oracle keeps before it drops them all and starts again;
+# an entry takes 600-800 bytes on 10- to 13-node graphs, most of it the
+# key's two frozensets. CA on n observed nodes asks n * 2**(n-1) (sources,
+# conditioning set) pairs but reuses only those of the source it is on, so
+# the bound caps memory and costs CA little reuse.
 _MAX_SEARCHES = 1 << 14
 
 
@@ -264,14 +231,14 @@ class GraphicalOracle:
     already passes the projection and no ``observed``. The projection is
     all the oracle keeps of the truth, and the lookup of a query's ids in
     the oracle's own compiled form of it is the one place a query is
-    validated. The oracle also keeps its call counter, the optional log and
-    one paused search per (sources, conditioning set) it has been asked
-    about. CA asks the same sources and conditioning set for every target,
-    so a repeat answers from the states that search already reached, or
-    resumes it. A repeat validates only its targets, as the sources and
-    conditioning set were validated when the search was made. The searches
-    are freed with the oracle, or all at once when there are
-    ``_MAX_SEARCHES`` of them. The oracle's lock serializes queries, so one
+    validated. The oracle also keeps its call counter, the optional log and,
+    for each (sources, conditioning set) it has been asked about, one int:
+    the mask of head arrivals that search reached. CA asks the same sources
+    and conditioning set for every target, so a repeat is one AND with the
+    targets' mask. A repeat validates only its targets, as the sources and
+    conditioning set were validated when the search ran. The masks are
+    freed with the oracle, or all at once when there are ``_MAX_SEARCHES``
+    of them. The oracle's lock serializes queries, so one
     oracle can be shared across threads.
 
     Parameters
@@ -316,14 +283,15 @@ class GraphicalOracle:
         if self._log is not None:
             targets = frozenset(targets)
         key = (sources, given)
+        form = self._form
         with self._lock:
-            search = self._searches.get(key)
-            if search is None:
-                search = _Search(self._form, sources, given)
+            reach = self._searches.get(key)
+            if reach is None:
+                reach = _reach(form, *_start(form, sources, given))
                 if len(self._searches) >= _MAX_SEARCHES:
                     self._searches.clear()
-                self._searches[key] = search
-            answer = not search.reaches(_heads(self._form, targets))
+                self._searches[key] = reach
+            answer = not reach & _targets(form, targets)
             self._calls += 1
             if self._log is not None:
                 self._log.append(SeparationQuery(sources, targets, given, answer))

@@ -463,9 +463,9 @@ def graph_strategy(draw, max_n=6, with_bidirected=True):
 
 
 @st.composite
-def sparse_dmg(draw, max_n=30):
+def sparse_dmg(draw, max_n=30, min_n=1):
     """Random directed mixed graph on arbitrary nonnegative ids."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     ids = sorted(draw(st.sets(st.integers(0, 10**9), min_size=n, max_size=n)))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     directed = draw(st.lists(pair, max_size=3 * n))

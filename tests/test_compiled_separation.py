@@ -1,9 +1,19 @@
-"""The compiled separation search against the uncompiled reference search,
-run fresh by ``mu_separated`` and paused and resumed by the oracle."""
-from hypothesis import given, settings
+"""The bit-parallel separation search against the uncompiled reference search.
+
+``mu_separated`` runs it fresh, with an early exit; the oracle keeps one
+reach mask per (sources, conditioning set) and answers later targets from
+it. Graphs of 65 nodes and more make the node masks wider than one machine
+word. The last test checks the conditioning sets CA hands the oracle.
+"""
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from causalscreen import DirectedMixedGraph, GraphicalOracle, mu_separated
+from causalscreen import DirectedMixedGraph, GraphicalOracle, mu_separated, run, separation
+from causalscreen.experiments import CorpusConfig, random_dmg
 from helpers import (
     brute_force_mu_separated,
     ca_queries,
@@ -18,17 +28,46 @@ from helpers import (
 SPARSE_IDS = (3, 17, 1000, 1001, 40_000, 10**9)
 
 
-@given(sparse_dmg(), st.data())
-@settings(max_examples=300)
-def test_compiled_search_matches_reference(g, data):
+def check_against_reference(g, data, max_given=6):
     nodes = st.sampled_from(g.nodes)
     a = data.draw(st.sets(nodes, min_size=1, max_size=4))
     b = data.draw(st.sets(nodes, min_size=1, max_size=4))
-    c = data.draw(st.sets(nodes, max_size=6))
+    c = data.draw(st.sets(nodes, max_size=max_given))
     meet = data.draw(st.sets(st.sampled_from(sorted(b)), min_size=1))
-    # empty C, a random C, C meeting B, and A inside C, all on one compiled form
+    # empty C, a random C, C meeting B, and A inside C
     for cond in (set(), c, c | meet, c | a):
         assert mu_separated(g, a, b, cond) == reference_mu_separated(g, a, b, cond)
+
+
+@given(sparse_dmg(), st.data())
+@settings(max_examples=300)
+def test_compiled_search_matches_reference(g, data):
+    check_against_reference(g, data)
+
+
+@given(sparse_dmg(min_n=65, max_n=110), st.data())
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow,
+                                                    HealthCheck.data_too_large])
+def test_compiled_search_matches_reference_on_wide_masks(g, data):
+    check_against_reference(g, data, max_given=20)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_matches_reference_on_wide_masks(seed):
+    """One oracle on the projection of a ~100-node truth, queried at random."""
+    n = 96 + seed
+    truth = random_dmg(CorpusConfig(n, 1.0 / n, 0.5 / n, 1, seed), 0)
+    observed = [v for v in truth.nodes if v % 5]
+    oracle = GraphicalOracle(truth, observed)
+    rng = random.Random(seed)
+    for _ in range(150):
+        a = set(rng.sample(observed, rng.randint(1, 3)))
+        b = set(rng.sample(observed, rng.randint(1, 3)))
+        c = set(rng.sample(observed, rng.randint(0, 25)))
+        for cond in (c, c | b):
+            want = reference_mu_separated(truth, a, b, cond)
+            assert oracle.query(a, b, cond) == want
+            assert oracle.query(a, b, cond) == want   # answered from the kept mask
 
 
 def relabel(g: DirectedMixedGraph, ids) -> DirectedMixedGraph:
@@ -79,11 +118,13 @@ def truth_and_observed(draw):
 @given(truth_and_observed(), st.data())
 @settings(max_examples=60)
 def test_memoized_oracle_matches_reference(case, data):
-    """Paused searches resumed in any order answer as a fresh reference search.
+    """Kept reach masks answer in any query order as a fresh reference search.
 
     The reference runs on the truth, hidden nodes included; the oracle on
-    its projection. One oracle per query stream, so its searches carry over
-    between the stream's queries.
+    its projection. One oracle per query stream, so its masks carry over
+    between the stream's queries. Each stream runs under the default bound
+    on kept masks and under a bound of 3, which drops them all every few
+    (sources, conditioning set) pairs.
     """
     truth, observed = case
     nodes = st.sampled_from(observed)
@@ -103,11 +144,77 @@ def test_memoized_oracle_matches_reference(case, data):
         data.draw(st.permutations(mixed + csap + mixed + ca[:40])),
     )
     want = {}
-    for queries in streams:
-        oracle = GraphicalOracle(truth, observed)
-        for a, b, c in queries:
-            key = (frozenset(a), frozenset(b), frozenset(c))
-            if key not in want:
-                want[key] = reference_mu_separated(truth, a, b, c)
-            assert oracle.query(a, b, c) == want[key], key
-        assert oracle.calls == len(queries)
+    for bound in (separation._MAX_SEARCHES, 3):
+        with mock.patch.object(separation, "_MAX_SEARCHES", bound):
+            for queries in streams:
+                oracle = GraphicalOracle(truth, observed)
+                for a, b, c in queries:
+                    key = (frozenset(a), frozenset(b), frozenset(c))
+                    if key not in want:
+                        want[key] = reference_mu_separated(truth, a, b, c)
+                    assert oracle.query(a, b, c) == want[key], key
+                    assert len(oracle._searches) <= bound
+                assert oracle.calls == len(queries)
+
+
+class RecordingOracle:
+    """Forwards to an oracle and records the arguments of every query."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.asked = []
+        self.observed = oracle.observed
+
+    @property
+    def calls(self):
+        return self._oracle.calls
+
+    def label(self, v):
+        return self._oracle.label(v)
+
+    def query(self, sources, targets, given=()):
+        self.asked.append((sources, targets, given))
+        return self._oracle.query(sources, targets, given)
+
+
+@pytest.mark.parametrize("order", ["lex", "random"])
+def test_ca_hands_frozen_subsets_in_combinations_order(order):
+    """CA asks each pair's conditioning sets as frozensets, in powerset order.
+
+    Every pair's sets are a prefix of the subsets of the other nodes by
+    size, then lexicographically, ending at the certificate when the edge
+    is removed. One pair's sets and its source are frozen once: they pass
+    through ``frozenset`` as themselves, and the next pair with the same
+    source gets the same objects.
+    """
+    truth = random_dmg(CorpusConfig(7, 0.25, 0.1, 1, 5), 0)
+    observed = truth.nodes[1:]
+    oracle = RecordingOracle(GraphicalOracle(truth, observed))
+    result = run("ca", oracle, order=order, seed=5)
+    assert len(oracle.asked) == result.oracle_calls
+
+    by_pair, pair_order = {}, []
+    for sources, targets, given in oracle.asked:
+        assert type(sources) is type(targets) is type(given) is frozenset
+        assert frozenset(given) is given
+        (a,), (b,) = sources, targets
+        if (a, b) not in by_pair:
+            pair_order.append((a, b))
+        by_pair.setdefault((a, b), []).append(given)
+    assert pair_order == [e.edge for e in result.trace]
+    assert 0 < len(result.certificates) < len(pair_order)   # removed and kept pairs
+    for (a, b), sets in by_pair.items():
+        subsets = [frozenset(c) for c in powerset([v for v in observed if v != a])]
+        assert sets == subsets[:len(sets)]
+        if (a, b) in result.certificates:
+            assert result.certificates[(a, b)] == sets[-1]
+        else:
+            assert len(sets) == len(subsets)
+    previous, reuse = None, 0
+    for (a, b) in pair_order:
+        if previous is not None and previous[0] == a:
+            assert all(x is y for x, y in zip(by_pair[previous], by_pair[(a, b)]))
+            reuse += 1
+        previous = (a, b)
+    if order == "lex":
+        assert reuse == len(observed) * (len(observed) - 2)

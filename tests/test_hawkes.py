@@ -58,6 +58,22 @@ class TestKernelsAndModel:
         with pytest.raises(ValueError):
             K(0.1, 0.0)
 
+    @pytest.mark.parametrize("a, b", [("x", 1.0), (True, 1.0), (1.0, "2"), (0.5, False)])
+    def test_kernel_rejects_strings_and_booleans(self, a, b):
+        # the same values from_json_dict rejects, with the same kind of error
+        with pytest.raises(ValueError, match="must be a number"):
+            K(a, b)
+
+    @pytest.mark.parametrize("mu, horizon", [(("0.5",), 5.0), ((0.5,), "5"),
+                                             ((True,), 5.0), ((0.5,), True)])
+    def test_model_rejects_strings_and_booleans(self, mu, horizon):
+        with pytest.raises(ValueError, match="must be a number"):
+            HawkesModel(mu, ((K(0.1, 1.0),),), horizon)
+
+    def test_scalars_accept_numpy_numbers(self):
+        m = HawkesModel((np.float64(0.5),), ((K(np.int64(1), np.float32(2.0)),),), np.int64(5))
+        assert m.mu == (0.5,) and m.horizon == 5.0
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             HawkesModel((1.0, 1.0), ((K(0, 1),),), 5.0)
@@ -169,6 +185,11 @@ class TestEventHistory:
                 EventHistory(((0.5,),), horizon)
         with pytest.raises(ValueError):
             EventHistory(((0.5,),), "x")
+
+    @pytest.mark.parametrize("horizon", ["10", True])
+    def test_horizon_rejects_strings_and_booleans(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be a number"):
+            EventHistory(((0.5,),), horizon)
 
     def test_merge_and_counts(self):
         h = EventHistory(((0.5, 2.0), (1.0,)), 10.0)

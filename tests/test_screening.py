@@ -17,9 +17,10 @@ from causalscreen import (
     run,
     trek_step,
 )
-from causalscreen.separation import HEAD, TAIL
 from conftest import DEMO_OBS
 from helpers import (
+    HEAD,
+    TAIL,
     brute_force_mu_separated,
     graph_strategy,
     powerset,

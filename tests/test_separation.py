@@ -17,9 +17,10 @@ from causalscreen import (
     mu_separated,
 )
 from causalscreen import separation
-from causalscreen.separation import HEAD, TAIL
 from causalscreen.experiments import CorpusConfig, random_dmg
 from helpers import (
+    HEAD,
+    TAIL,
     brute_force_mu_separated,
     ca_queries,
     directed_trek_exists,
