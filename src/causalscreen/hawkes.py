@@ -105,13 +105,19 @@ def _json_array(value, where: str):
     return value
 
 
-def _is_number(value) -> bool:
+def _is_number_type(t) -> bool:
     # bool is an int subclass, but True is not a number here, nor is JSON true
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return issubclass(t, numbers.Real) and t is not bool
 
 
 def _floats(values, where: str) -> tuple:
-    """``float`` of each value; an int beyond the float range is a ValueError naming where."""
+    """``float`` of each value; a non-number (a string, a boolean) or an int
+    beyond the float range is a ValueError naming where."""
+    values = tuple(values)
+    # One check per distinct type, not per value: event times pass through here.
+    if not all(map(_is_number_type, set(map(type, values)))):
+        bad = next(v for v in values if not _is_number_type(type(v)))
+        raise ValueError(f"{where} must be a number, got {bad!r}")
     try:
         return tuple(map(float, values))
     except OverflowError:
@@ -127,8 +133,6 @@ def _horizon(value) -> float:
 
 def _number(value, where: str) -> float:
     """A real number, as a float; strings and booleans are a ValueError naming where."""
-    if not _is_number(value):
-        raise ValueError(f"{where} must be a number, got {value!r}")
     return _floats((value,), where)[0]
 
 
@@ -205,7 +209,8 @@ class HawkesModel:
                 where = f"kernels[{i}][{j}]"
                 if entry is None:
                     a, b = 0.0, 1.0
-                elif isinstance(entry, dict) and all(_is_number(entry.get(k)) for k in "ab"):
+                elif isinstance(entry, dict) and all(
+                        _is_number_type(type(entry.get(k))) for k in "ab"):
                     a, b = (_number(entry[k], f"{where}.{k}") for k in "ab")
                 else:
                     raise ValueError(f"{where} must be null or an object with numbers "

@@ -22,6 +22,16 @@ edge whose two endpoint marks happen to sit at the same node: traversing it
 departs by one end and arrives by the other (tail out, head in, or the
 reverse).
 
+The search lets a collider pass only when it is in ``C`` itself, which
+gives the same answers. Walks may repeat edges, so a collider ``v`` in
+anc(C) but not in ``C`` can leave by the tail of the first edge of a
+shortest directed path ``v -> ... -> c`` into ``C``, collide at ``c`` and
+come back along the same path to ``v``, then leave as before. The path's
+inner nodes are outside ``C`` and each is a noncollider both ways, and
+``v`` is now a noncollider twice (head in, tail out; tail in, head out).
+The detour keeps the walk's source and its final edge, so a connecting
+walk exists exactly when one exists whose colliders all lie in ``C``.
+
 The search runs over (node, arrival-mark) states, which is sound because
 the walk constraints at an occurrence depend only on that state and the
 chosen departure. It runs a whole layer of states at a time: the states
@@ -35,9 +45,9 @@ validation: any value equal to a node id names that node (``1``,
 raise :class:`GraphError`.
 
 The set of head arrivals reachable from ``A`` given ``C`` does not depend
-on the targets. :func:`mu_separated` stops at the first layer that
-reaches a target; :class:`GraphicalOracle` keeps the whole set, one int
-per (sources, conditioning set), and answers every target set from it.
+on the targets. The search always computes the whole set; an answer is
+one AND with the targets' mask, and :class:`GraphicalOracle` keeps the
+set, one int per (sources, conditioning set), for every later target.
 
 The walk-level checkers that cross-validate the search against the
 definition (walk enumeration, a single-walk check) are test code and live
@@ -47,7 +57,6 @@ in ``tests/helpers.py``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import DirectedMixedGraph, GraphError, latent_projection
@@ -57,7 +66,6 @@ from .graphs import ancestors
 
 __all__ = [
     "mu_separated",
-    "SeparationQuery",
     "GraphicalOracle",
 ]
 
@@ -69,43 +77,16 @@ class _Compiled:
     node there are three int masks, read off the graph's adjacency maps:
     its parents ``pa``, children ``ch`` and siblings ``sib``. The loop
     ``v -> v`` puts ``v`` in its own ``pa`` and ``ch``, so it contributes
-    both of its orientations. Ancestor masks, one per node, are filled on
-    first use by the OR closure over ``pa``, so that anc(C) is the OR of
-    the masks of C. The form depends only on the graph, which is
-    immutable; its one owner fills the masks, and an oracle does so under
-    its lock.
+    both of its orientations. Nothing changes after construction.
     """
 
-    __slots__ = ("bit", "pa", "ch", "sib", "anc")
+    __slots__ = ("bit", "pa", "ch", "sib")
 
     def __init__(self, g: DirectedMixedGraph):
         self.bit = bit = {v: 1 << i for i, v in enumerate(g.nodes)}
         self.pa, self.ch, self.sib = (
             tuple(sum(bit[w] for w in adj[v]) for v in g.nodes)
             for adj in (g._parents, g._children, g._siblings))
-        self.anc = [0] * len(bit)
-
-    def ancestors(self, c: int) -> int:
-        """Bitmask of anc(C) for the bitmask ``c`` of C (C included)."""
-        out, masks, pa = 0, self.anc, self.pa
-        while c:
-            low = c & -c
-            c ^= low
-            i = low.bit_length() - 1
-            mask = masks[i]
-            if not mask:
-                mask = frontier = low
-                while frontier:
-                    step = 0
-                    while frontier:
-                        one = frontier & -frontier
-                        frontier ^= one
-                        step |= pa[one.bit_length() - 1]
-                    frontier = step & ~mask
-                    mask |= step
-                masks[i] = mask
-            out |= mask
-        return out
 
 
 _EMPTY_QUERY = "source and target sets must be nonempty"
@@ -138,26 +119,25 @@ def _targets(form: _Compiled, targets) -> int:
     return b
 
 
-def _reach(form: _Compiled, a: int, c: int, targets: int = 0) -> int:
+def _reach(form: _Compiled, a: int, c: int) -> int:
     """The nodes with a head arrival reachable from A given C, as a mask.
 
     Breadth first, a whole layer at a time, over two masks: ``tail``, the
     nodes reached by a tail arrival (a source counts as one), and ``head``,
     those reached by a head arrival. A node departs by head, to its
     parents (arriving by tail) and siblings (arriving by head), when it
-    was reached by tail outside C or by head inside anc(C): a noncollider
-    must avoid C, a collider must be an ancestor of C. It departs by tail,
-    to its children (arriving by head), when it was reached at all outside
-    C. Each node departs each way once. The search stops early at the
-    first layer whose head arrivals meet ``targets``.
+    was reached by tail outside C or by head inside C: a noncollider must
+    avoid C, and a collider in C stands for every collider in anc(C) (see
+    the module docstring). It departs by tail, to its children (arriving
+    by head), when it was reached at all outside C. Each node departs
+    each way once, and the search runs until no state is new.
     """
-    anc = form.ancestors(c)
     pa, ch, sib = form.pa, form.ch, form.sib
     outside = ~c
     tail, head = a & outside, 0
     by_head = by_tail = 0
     while True:
-        new_head = (tail & outside | head & anc) & ~by_head
+        new_head = (tail & outside | head & c) & ~by_head
         new_tail = (tail | head) & outside & ~by_tail
         if not new_head | new_tail:
             return head
@@ -173,8 +153,6 @@ def _reach(form: _Compiled, a: int, c: int, targets: int = 0) -> int:
             low = new_tail & -new_tail
             new_tail ^= low
             head |= ch[low.bit_length() - 1]
-        if head & targets:
-            return head
 
 
 def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
@@ -182,8 +160,8 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     """True when ``targets`` is separated from ``sources`` given ``given``.
 
     Searches the graph's node-mask form; a head arrival at a node of
-    ``targets`` witnesses a connecting walk. Each call compiles the graph
-    and keeps nothing.
+    ``targets`` witnesses a connecting walk. Each call compiles the graph,
+    runs the oracle's search to its end and keeps nothing.
 
     >>> g = DirectedMixedGraph(3, directed=[(0, 1), (1, 2)])
     >>> mu_separated(g, {0}, {2}, {1})
@@ -194,7 +172,7 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     form = _Compiled(g)
     a, c = _start(form, sources, given)
     b = _targets(form, targets)
-    return not _reach(form, a, c, b) & b
+    return not _reach(form, a, c) & b
 
 
 # -- the local-independence oracle ----------------------------------------
@@ -205,15 +183,6 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
 # conditioning set) pairs but reuses only those of the source it is on, so
 # the bound caps memory and costs CA little reuse.
 _MAX_SEARCHES = 1 << 14
-
-
-@dataclass(frozen=True)
-class SeparationQuery:
-    """One oracle query and its answer (True means independent/separated)."""
-    sources: frozenset
-    targets: frozenset
-    given: frozenset
-    independent: bool
 
 
 class GraphicalOracle:
@@ -231,15 +200,15 @@ class GraphicalOracle:
     already passes the projection and no ``observed``. The projection is
     all the oracle keeps of the truth, and the lookup of a query's ids in
     the oracle's own compiled form of it is the one place a query is
-    validated. The oracle also keeps its call counter, the optional log and,
-    for each (sources, conditioning set) it has been asked about, one int:
-    the mask of head arrivals that search reached. CA asks the same sources
-    and conditioning set for every target, so a repeat is one AND with the
+    validated. The oracle also keeps its call counter and, for each
+    (sources, conditioning set) it has been asked about, one int: the mask
+    of head arrivals that search reached. CA asks the same sources and
+    conditioning set for every target, so a repeat is one AND with the
     targets' mask. A repeat validates only its targets, as the sources and
     conditioning set were validated when the search ran. The masks are
     freed with the oracle, or all at once when there are ``_MAX_SEARCHES``
-    of them. The oracle's lock serializes queries, so one
-    oracle can be shared across threads.
+    of them. The oracle's lock serializes queries, so one oracle can be
+    shared across threads.
 
     Parameters
     ----------
@@ -247,18 +216,14 @@ class GraphicalOracle:
         Hidden ground truth; queries are answered by separation in it.
     observed : iterable of node ids, optional
         Queryable nodes (default: all truth nodes, and no projection).
-    keep_log : bool
-        Record every query as a :class:`SeparationQuery`.
     """
 
-    def __init__(self, truth: DirectedMixedGraph, observed=None, *,
-                 keep_log: bool = False):
+    def __init__(self, truth: DirectedMixedGraph, observed=None):
         self._graph = truth if observed is None else latent_projection(truth, observed)
         self._form = _Compiled(self._graph)
         self._searches: dict = {}
         self._calls = 0
         self._lock = threading.Lock()
-        self._log = [] if keep_log else None
 
     @property
     def observed(self) -> frozenset:
@@ -268,20 +233,14 @@ class GraphicalOracle:
     def calls(self) -> int:
         return self._calls
 
-    @property
-    def log(self):
-        return tuple(self._log) if self._log is not None else None
-
     def label(self, v: int) -> str:
         return self._graph.label(v)
 
     def query(self, sources, targets, given=()) -> bool:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
         # Freeze what is read twice, so one-shot iterators work: sources and
-        # given make the memo key and seed the search; the log keeps targets.
+        # given make the memo key and seed the search.
         sources, given = frozenset(sources), frozenset(given)
-        if self._log is not None:
-            targets = frozenset(targets)
         key = (sources, given)
         form = self._form
         with self._lock:
@@ -293,6 +252,4 @@ class GraphicalOracle:
                 self._searches[key] = reach
             answer = not reach & _targets(form, targets)
             self._calls += 1
-            if self._log is not None:
-                self._log.append(SeparationQuery(sources, targets, given, answer))
         return answer

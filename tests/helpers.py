@@ -12,6 +12,9 @@ live here:
 * ``reference_*`` functions, each the route a library function took before
   it was rewritten, which the rewrite must still agree with.
 
+``LoggingOracle`` wraps an oracle and logs its queries, for the tests that
+check what screening asks.
+
 None of them reads a private name of ``causalscreen.separation``; the
 brute force and the reference search build their own move tables from
 ``g.directed`` and ``g.bidirected``.
@@ -66,6 +69,36 @@ def ca_queries(nodes) -> list:
         for b in rest:
             out.extend(({a}, {b}, c) for c in powerset(rest))
     return out
+
+
+class LoggingOracle:
+    """Forwards to an oracle and logs every answered query.
+
+    Each entry of ``log`` is ``(sources, targets, given, independent)``,
+    the three sets frozen before the query is forwarded, so one-shot
+    iterators work. A query the oracle rejects is not logged.
+    """
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.log: list = []
+
+    @property
+    def observed(self):
+        return self._oracle.observed
+
+    @property
+    def calls(self) -> int:
+        return self._oracle.calls
+
+    def label(self, v):
+        return self._oracle.label(v)
+
+    def query(self, sources, targets, given=()):
+        sources, targets, given = frozenset(sources), frozenset(targets), frozenset(given)
+        answer = self._oracle.query(sources, targets, given)
+        self.log.append((sources, targets, given, answer))
+        return answer
 
 
 def enumerate_trek_into(g: DirectedMixedGraph, src: int, dst: int) -> bool:

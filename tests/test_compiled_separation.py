@@ -1,9 +1,12 @@
 """The bit-parallel separation search against the uncompiled reference search.
 
-``mu_separated`` runs it fresh, with an early exit; the oracle keeps one
-reach mask per (sources, conditioning set) and answers later targets from
-it. Graphs of 65 nodes and more make the node masks wider than one machine
-word. The last test checks the conditioning sets CA hands the oracle.
+``mu_separated`` runs it fresh; the oracle keeps its result, one reach mask
+per (sources, conditioning set), and answers later targets from it. The
+search checks colliders against C and the reference against anc(C), so
+agreement on the whole mask checks that the two rules reach the same
+nodes. Graphs of 65 nodes and more make the node masks wider than one
+machine word. The last test checks the conditioning sets CA hands the
+oracle.
 """
 import random
 from unittest import mock
@@ -29,14 +32,19 @@ SPARSE_IDS = (3, 17, 1000, 1001, 40_000, 10**9)
 
 
 def check_against_reference(g, data, max_given=6):
+    """Answers, and the whole head-arrival mask the oracle keeps for (A, C)."""
     nodes = st.sampled_from(g.nodes)
     a = data.draw(st.sets(nodes, min_size=1, max_size=4))
     b = data.draw(st.sets(nodes, min_size=1, max_size=4))
     c = data.draw(st.sets(nodes, max_size=max_given))
     meet = data.draw(st.sets(st.sampled_from(sorted(b)), min_size=1))
+    form = separation._Compiled(g)
     # empty C, a random C, C meeting B, and A inside C
     for cond in (set(), c, c | meet, c | a):
         assert mu_separated(g, a, b, cond) == reference_mu_separated(g, a, b, cond)
+        want = sum(form.bit[v] for v in g.nodes
+                   if not reference_mu_separated(g, a, {v}, cond))
+        assert separation._reach(form, *separation._start(form, a, cond)) == want
 
 
 @given(sparse_dmg(), st.data())

@@ -12,7 +12,8 @@ LIBRARY = [
 ]
 MODULES = [causalscreen, *LIBRARY, importlib.import_module("causalscreen.cli")]
 
-# Checkers of the definitions, kept in tests/helpers.py rather than the package.
+# Checkers of the definitions and the query-logging wrapper, kept in
+# tests/helpers.py rather than the package.
 TEST_ONLY = (
     "brute_force_mu_separated",
     "_bf_connecting_targets",
@@ -20,6 +21,7 @@ TEST_ONLY = (
     "directed_trek_exists",
     "_two_disjoint_paths",
     "BRUTE_FORCE_NODE_CAP",
+    "LoggingOracle",
 )
 
 

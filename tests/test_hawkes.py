@@ -73,6 +73,10 @@ class TestKernelsAndModel:
     def test_scalars_accept_numpy_numbers(self):
         m = HawkesModel((np.float64(0.5),), ((K(np.int64(1), np.float32(2.0)),),), np.int64(5))
         assert m.mu == (0.5,) and m.horizon == 5.0
+        h = EventHistory(((1, np.float64(2.5), np.int64(3), np.float32(4.5)),), 10.0)
+        iv = Intervention(0, (np.int64(1), np.float64(1.5), 2))
+        assert h.times == ((1.0, 2.5, 3.0, 4.5),) and iv.times == (1.0, 1.5, 2.0)
+        assert {type(t) for t in h.times[0] + iv.times} == {float}
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -172,6 +176,10 @@ class TestCausalGraph:
         assert g.has_directed(0, 1)
 
 
+# Values that are not times, although float() accepts each of them.
+NOT_TIMES = ("0.5", b"1.5", True, False, np.True_)
+
+
 class TestEventHistory:
     def test_validation(self):
         for times in (((2.0, 1.0),), ((1.0, 1.0),), ((6.0,),), ((-1.0,),),
@@ -190,6 +198,13 @@ class TestEventHistory:
     def test_horizon_rejects_strings_and_booleans(self, horizon):
         with pytest.raises(ValueError, match="horizon must be a number"):
             EventHistory(((0.5,),), horizon)
+
+    @pytest.mark.parametrize("time", NOT_TIMES, ids=repr)
+    def test_times_reject_strings_and_booleans(self, time):
+        for times in (((time,),), ((0.25, time, 9.0),), ((1.0,), (0.25, time))):
+            with pytest.raises(ValueError) as info:
+                EventHistory(times, 10.0)
+            assert str(info.value) == f"event time must be a number, got {time!r}"
 
     def test_merge_and_counts(self):
         h = EventHistory(((0.5, 2.0), (1.0,)), 10.0)
@@ -377,6 +392,13 @@ class TestInterventions:
         with pytest.raises(ValueError, match="node must be an integer"):
             Intervention(node, (1.0,))
 
+    @pytest.mark.parametrize("time", NOT_TIMES, ids=repr)
+    def test_times_reject_strings_and_booleans(self, time):
+        for times in ((time,), (0.25, time, 9.0)):
+            with pytest.raises(ValueError) as info:
+                Intervention(0, times)
+            assert str(info.value) == f"intervention time must be a number, got {time!r}"
+
     @pytest.mark.parametrize("node", [1, np.int64(1), np.uint8(1)])
     def test_integer_nodes_pass(self, node):
         iv = Intervention(node, (1.0,))
@@ -436,6 +458,9 @@ class TestCompensator:
             compensator(m, h, 0, (2.0, 1.0))
         with pytest.raises(ValueError):
             compensator(m, EventHistory(((),),  10.0), 0, (1.0,))
+        for time in NOT_TIMES:
+            with pytest.raises(ValueError, match="compensator time must be a number"):
+                compensator(m, h, 0, (0.5, time))
 
     @pytest.mark.parametrize("node", [1.7, np.float64(1.0), True, np.True_, "1"])
     def test_node_must_be_an_integer(self, node):

@@ -10,7 +10,7 @@ from causalscreen import (
     latent_projection,
     mu_separated,
 )
-from helpers import reference_latent_projection, sparse_dmg
+from helpers import LoggingOracle, reference_latent_projection, sparse_dmg
 
 
 def labelled(g: DirectedMixedGraph) -> DirectedMixedGraph:
@@ -63,10 +63,10 @@ def test_oracle_matches_search_on_the_truth(case, data):
                   st.sets(nodes, min_size=1, max_size=3),
                   st.sets(nodes, max_size=4)),
         min_size=1, max_size=8))
-    oracle = GraphicalOracle(g, observed, keep_log=True)
+    oracle = LoggingOracle(GraphicalOracle(g, observed))
     answers = [oracle.query(a, b, c) for a, b, c in queries]
     assert answers == [mu_separated(g, a, b, c) for a, b, c in queries]
     assert oracle.calls == len(queries)
-    assert [(q.sources, q.targets, q.given, q.independent) for q in oracle.log] == [
+    assert oracle.log == [
         (frozenset(a), frozenset(b), frozenset(c), ans)
         for (a, b, c), ans in zip(queries, answers)]

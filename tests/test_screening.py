@@ -21,6 +21,7 @@ from conftest import DEMO_OBS
 from helpers import (
     HEAD,
     TAIL,
+    LoggingOracle,
     brute_force_mu_separated,
     graph_strategy,
     powerset,
@@ -59,11 +60,11 @@ class TestTrekStep:
         assert oracle.calls == 6
 
     def test_queries_condition_on_the_target(self, demo_graph):
-        oracle = GraphicalOracle(demo_graph, observed=DEMO_OBS, keep_log=True)
+        oracle = LoggingOracle(GraphicalOracle(demo_graph, observed=DEMO_OBS))
         trek_step(oracle)
-        for q in oracle.log:
-            assert q.given == q.targets
-            assert len(q.sources) == len(q.targets) == 1
+        for sources, targets, given, _ in oracle.log:
+            assert given == targets
+            assert len(sources) == len(targets) == 1
 
     def test_exact_cost_everywhere(self):
         for k, g in enumerate(random_corpus(40, 808)):
@@ -97,11 +98,11 @@ class TestParentStep:
     def test_parent_sets_are_read_live(self):
         """After (0, 2) falls, the (1, 2) query conditions on {2} alone."""
         truth, d = self.chain_and_trek()
-        oracle = GraphicalOracle(truth, keep_log=True)
+        oracle = LoggingOracle(GraphicalOracle(truth))
         parent_step(oracle, d)
-        last = oracle.log[-1]
-        assert last.sources == frozenset({1})
-        assert last.given == frozenset({2})
+        sources, _, given, _ = oracle.log[-1]
+        assert sources == frozenset({1})
+        assert given == frozenset({2})
 
     def test_rejects_bidirected_input(self, chain3):
         """Every step that takes a graph refuses one with bidirected edges."""

@@ -3,11 +3,12 @@
 Eight ``random_dmg`` graphs (n = 7, two nodes hidden) are screened by
 every algorithm under lexicographic and seeded random pair order. One
 SHA-256 covers, per run, the learned graph, the sorted certificates, the
-trace, ``oracle_calls`` and the oracle's query log (sources, targets,
-given and answer, in issue order). Any change to which queries are asked,
-in what order, or what is concluded from them moves the digest. The same
-runs against oracles without a log, the path the benchmark takes, must
-reach the same graphs, certificates, traces and call counts.
+trace, ``oracle_calls`` and the query log (sources, targets, given and
+answer, in issue order) that ``LoggingOracle`` records around the oracle.
+Any change to which queries are asked, in what order, or what is
+concluded from them moves the digest. The same runs against bare oracles,
+the path the benchmark takes, must reach the same graphs, certificates,
+traces and call counts.
 """
 import hashlib
 import json
@@ -16,6 +17,7 @@ import numpy as np
 
 from causalscreen import GraphicalOracle, run
 from causalscreen.experiments import CorpusConfig, random_dmg
+from helpers import LoggingOracle
 
 CORPUS = CorpusConfig(n=7, p_dir=0.25, p_bi=0.1, count=8, seed=3)
 HIDDEN = 2  # 30% of 7 nodes, rounded
@@ -46,8 +48,8 @@ def _result_doc(res):
 def _run_doc(res, oracle):
     return {
         **_result_doc(res),
-        "log": [[sorted(q.sources), sorted(q.targets), sorted(q.given), q.independent]
-                for q in oracle.log],
+        "log": [[sorted(a), sorted(b), sorted(c), independent]
+                for a, b, c, independent in oracle.log],
     }
 
 
@@ -64,7 +66,7 @@ def _runs():
 def screening_digest():
     docs = []
     for truth, observed, algo, order in _runs():
-        oracle = GraphicalOracle(truth, observed, keep_log=True)
+        oracle = LoggingOracle(GraphicalOracle(truth, observed))
         docs.append(_run_doc(run(algo, oracle, **order), oracle))
     text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -75,8 +77,8 @@ def test_screening_golden_digest():
 
 
 def test_unlogged_runs_match_logged_runs():
-    """The benchmark's path: an oracle without a log decides exactly the same."""
+    """The benchmark's path: a bare oracle decides exactly as a logged one."""
     for truth, observed, algo, order in _runs():
-        logged = run(algo, GraphicalOracle(truth, observed, keep_log=True), **order)
+        logged = run(algo, LoggingOracle(GraphicalOracle(truth, observed)), **order)
         unlogged = run(algo, GraphicalOracle(truth, observed), **order)
         assert _result_doc(unlogged) == _result_doc(logged), (algo, order)

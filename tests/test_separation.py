@@ -12,7 +12,6 @@ from causalscreen import (
     DirectedMixedGraph,
     GraphError,
     GraphicalOracle,
-    SeparationQuery,
     latent_projection,
     mu_separated,
 )
@@ -21,6 +20,7 @@ from causalscreen.experiments import CorpusConfig, random_dmg
 from helpers import (
     HEAD,
     TAIL,
+    LoggingOracle,
     brute_force_mu_separated,
     ca_queries,
     directed_trek_exists,
@@ -167,9 +167,9 @@ class TestOracle:
         assert oracle.calls == 2
 
     def test_invalid_query_does_not_count(self, chain3):
-        # a non-id fails the same way whether or not the log freezes it first
-        for keep_log in (False, True):
-            oracle = GraphicalOracle(chain3, observed=(0, 1), keep_log=keep_log)
+        # a non-id fails the same way whether or not a logging wrapper freezes it first
+        for oracle in (GraphicalOracle(chain3, observed=(0, 1)),
+                       LoggingOracle(GraphicalOracle(chain3, observed=(0, 1)))):
             for args in (({0}, {2}, ()), ({0}, {"1"}, ()), ({0}, {1}, {1.5})):
                 with pytest.raises(GraphError, match="unknown nodes"):
                     oracle.query(*args)
@@ -188,20 +188,17 @@ class TestOracle:
                 GraphicalOracle(chain3, observed=observed)
 
     def test_log_records_queries(self, chain3):
-        oracle = GraphicalOracle(chain3, keep_log=True)
-        oracle.query({0}, {2}, {1})
-        (entry,) = oracle.log
-        assert entry.sources == frozenset({0})
-        assert entry.targets == frozenset({2})
-        assert entry.given == frozenset({1})
-        assert entry.independent is True
+        oracle = LoggingOracle(GraphicalOracle(chain3))
+        assert oracle.query({0}, {2}, {1}) is True
+        assert oracle.query({0}, {1}) is False
+        assert oracle.log == [(frozenset({0}), frozenset({2}), frozenset({1}), True),
+                              (frozenset({0}), frozenset({1}), frozenset(), False)]
 
     def test_log_freezes_one_shot_iterators(self, chain3):
-        oracle = GraphicalOracle(chain3, keep_log=True)
+        oracle = LoggingOracle(GraphicalOracle(chain3))
         assert oracle.query(iter([0]), iter([2]), iter([1])) is True
         assert oracle.calls == 1
-        assert oracle.log == (SeparationQuery(frozenset({0}), frozenset({2}),
-                                              frozenset({1}), True),)
+        assert oracle.log == [(frozenset({0}), frozenset({2}), frozenset({1}), True)]
 
     def test_unlogged_query_reads_one_shot_iterators_once(self, chain3):
         # the first query builds the search for ({0}, {1}), the others reuse it
@@ -245,9 +242,6 @@ class TestOracle:
         assert first._graph is second._graph is proj
         assert first._form is not second._form
         assert first.query({0}, {4}, {3}) == second.query({0}, {4}, {3})
-
-    def test_log_disabled_by_default(self, chain3):
-        assert GraphicalOracle(chain3).log is None
 
     def test_label_passthrough(self, demo_graph):
         oracle = GraphicalOracle(demo_graph, observed=(0, 3, 4))
