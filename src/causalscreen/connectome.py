@@ -24,12 +24,13 @@ from typing import IO
 
 import numpy as np
 
-from .graphs import DirectedMixedGraph, GraphError, directed_part, latent_projection
+from .graphs import DirectedMixedGraph, GraphError, _node_id, directed_part, latent_projection
 # Not called here; importable from this module because perfbench/tracing.py
 # patches them by name.
 from .graphs import canonical_dg, parent_graph
 from .screening import Algorithm, run
 from .separation import GraphicalOracle
+from .hawkes import _number
 from .experiments import excess_edges, indegrees, outdegrees, spearman, topk_overlap
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 CONNECTOME_HEADER = "pre,post,count,type"
-# The last field of a well-formed row, with or without its "\n", to its type.
-_KINDS = {"chem": "chem", "chem\n": "chem", "gap": "gap", "gap\n": "gap"}
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,11 @@ class ConnectomeSpec:
     weight_exponent: float = 1.0
 
     def __post_init__(self):
-        if self.threshold < 0:
+        if _node_id(self.threshold, "threshold") < 0:
             raise ValueError("threshold must be >= 0")
-        if self.sample < 1:
+        if _node_id(self.sample, "sample") < 1:
             raise ValueError("sample size must be >= 1")
-        if not math.isfinite(self.weight_exponent):
+        if not math.isfinite(_number(self.weight_exponent, "weight_exponent")):
             raise ValueError(f"weight exponent must be finite, got {self.weight_exponent}")
 
 
@@ -96,24 +95,6 @@ class ConnectomeResult:
         }
 
 
-def _parse_row(lineno: int, line: str) -> tuple:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != 4:
-        raise GraphError(f"line {lineno}: expected 4 fields, got {len(parts)}: {line!r}")
-    pre, post, count_s, kind = parts
-    if not pre or not post:
-        raise GraphError(f"line {lineno}: empty node name: {line!r}")
-    try:
-        count = int(count_s)
-    except ValueError:
-        raise GraphError(f"line {lineno}: non-numeric count {count_s!r}") from None
-    if count < 1:
-        raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
-    if kind not in ("chem", "gap"):
-        raise GraphError(f"line {lineno}: type must be chem or gap, got {kind!r}")
-    return pre, post, count, kind
-
-
 def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
     """Build the ground-truth graph from a synapse CSV.
 
@@ -131,23 +112,24 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
     gap: set = set()
     names: set = set()
     for lineno, raw in enumerate(fh, start=2):
-        # A well-formed row is read inline. Anything else (padding, a \r\n
-        # ending, a blank or bad row) goes to _parse_row, which strips each
-        # field and names the row's fault, so both routes accept the same
-        # tables with the same values.
         fields = raw.split(",")
-        count = 0
-        if len(fields) == 4:
-            pre, post, count_s, kind = fields
-            kind = _KINDS.get(kind)
-            if (kind and pre and post and pre.strip() == pre and post.strip() == post
-                    and count_s.isdecimal()):
-                count = int(count_s)
-        if count < 1:
+        if len(fields) != 4:
             line = raw.strip()
             if not line:
                 continue
-            pre, post, count, kind = _parse_row(lineno, line)
+            raise GraphError(f"line {lineno}: expected 4 fields, got {len(fields)}: {line!r}")
+        pre, post, count_s, kind = fields
+        pre, post, count_s, kind = pre.strip(), post.strip(), count_s.strip(), kind.strip()
+        if not pre or not post:
+            raise GraphError(f"line {lineno}: empty node name: {raw.strip()!r}")
+        try:
+            count = int(count_s)
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-numeric count {count_s!r}") from None
+        if count < 1:
+            raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
+        if kind != "chem" and kind != "gap":
+            raise GraphError(f"line {lineno}: type must be chem or gap, got {kind!r}")
         names.add(pre)
         names.add(post)
         if kind == "chem":

@@ -447,41 +447,36 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
 
     # The run stops at each forced event in time order, then at the end of
     # the horizon: the first time past T, which every later candidate
-    # reaches. A zero envelope draws no candidate time (t_cand = inf), so
-    # it goes straight to the next stop.
-    stops = forced + [(math.nextafter(T, inf), None)]
-    for tf, nf in stops:
-        while True:
-            lbar = total_intensity()
-            # Draw order per candidate: candidate-time draw (none while the
-            # envelope is zero), then (if the candidate comes before the
-            # next stop) acceptance draw, then (if accepted) node-selection
-            # draw. A candidate at or past the stop discards its time draw.
-            t_cand = t - log1p(-draw()) / lbar if lbar > 0.0 else inf
-            if tf <= t_cand:
+    # reaches. Draw order per candidate: candidate-time draw (none while the
+    # envelope is zero, which puts the candidate at +inf), then, if the
+    # candidate comes before the next stop, acceptance draw, then, if
+    # accepted, node-selection draw. A candidate at or past the stop
+    # discards its time draw: the stop's forced event is taken instead, or
+    # at the horizon the run ends. Forced and sampled events are recorded
+    # by the same lines.
+    stops = iter(forced + [(math.nextafter(T, inf), None)])
+    tf, nf = next(stops)
+    while True:
+        lbar = total_intensity()
+        t_next = t - log1p(-draw()) / lbar if lbar > 0.0 else inf
+        node = None
+        if tf <= t_next:
+            if nf is None:
                 break
-            multiply(neg_b, t_cand - t, out=buf)
-            exp(buf, out=buf)
-            multiply(s, buf, out=s)
-            t = t_cand
-            ltot = total_intensity()
-            if draw() * lbar <= ltot:
-                add.accumulate(lam, out=cum)
-                node = min(int(cum.searchsorted(draw() * ltot, "right")), n - 1)
-                by_source[node] += 1.0
-                appends[node](t)
-                total += 1
-                if total > max_events:
-                    raise SimulationError(
-                        f"event cap {max_events} exceeded; model exploding?")
-        if nf is None:
-            break
-        multiply(neg_b, tf - t, out=buf)
+            t_next, node = tf, nf
+            tf, nf = next(stops)
+        multiply(neg_b, t_next - t, out=buf)
         exp(buf, out=buf)
         multiply(s, buf, out=s)
-        t = tf
-        by_source[nf] += 1.0
-        appends[nf](t)
+        t = t_next
+        if node is None:
+            ltot = total_intensity()
+            if not (draw() * lbar <= ltot):
+                continue
+            add.accumulate(lam, out=cum)
+            node = min(int(cum.searchsorted(draw() * ltot, "right")), n - 1)
+        by_source[node] += 1.0
+        appends[node](t)
         total += 1
         if total > max_events:
             raise SimulationError(f"event cap {max_events} exceeded; model exploding?")

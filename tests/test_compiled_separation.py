@@ -12,7 +12,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from causalscreen import DirectedMixedGraph, GraphicalOracle, mu_separated, run, separation
@@ -53,9 +53,13 @@ def test_compiled_search_matches_reference(g, data):
     check_against_reference(g, data)
 
 
+# No shrink phase: shrinking a failure on graphs this wide takes minutes, so
+# a wrong search fails at once here, and the small-graph test above shrinks
+# the same fault to a minimal example.
 @given(sparse_dmg(min_n=65, max_n=110), st.data())
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow,
-                                                    HealthCheck.data_too_large])
+                                                    HealthCheck.data_too_large],
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_compiled_search_matches_reference_on_wide_masks(g, data):
     check_against_reference(g, data, max_given=20)
 

@@ -35,6 +35,29 @@ class TestCorpus:
         with pytest.raises(ValueError):
             CorpusConfig(3, 0.5, -0.1, 1, 0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 2.5, "n 2.5 is not an integer"),
+        ("count", 2.5, "count 2.5 is not an integer"),
+        ("count", True, "count True is not an integer"),
+        ("seed", True, "seed True is not an integer"),
+        ("seed", "1", "seed '1' is not an integer"),
+        ("p_dir", "0.5", "p_dir must be a number, got '0.5'"),
+        ("p_dir", True, "p_dir must be a number, got True"),
+        ("p_bi", np.bool_(False), "p_bi must be a number, got "),
+    ])
+    def test_config_rejects_bad_field_types(self, field, value, message):
+        fields = dict(n=3, p_dir=0.5, p_bi=0.5, count=1, seed=0)
+        with pytest.raises(ValueError) as info:
+            CorpusConfig(**{**fields, field: value})
+        assert str(info.value).startswith(message)
+        if field in ("n", "count", "seed"):
+            assert isinstance(info.value, GraphError)
+
+    def test_config_accepts_numpy_numbers(self):
+        cfg = CorpusConfig(np.int64(3), np.float64(0.5), np.float32(0.25), np.int32(2),
+                           np.uint8(7))
+        assert random_dmg(cfg, 1) == random_dmg(CorpusConfig(3, 0.5, 0.25, 2, 7), 1)
+
     def test_random_dmg_deterministic(self):
         cfg = CorpusConfig(5, 0.4, 0.3, 10, 77)
         assert random_dmg(cfg, 3) == random_dmg(cfg, 3)
