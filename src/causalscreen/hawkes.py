@@ -136,14 +136,14 @@ def _number(value, where: str) -> float:
     return _floats((value,), where)[0]
 
 
-def _node_index(node) -> int:
-    """A node id as an int: ints and numpy integers pass, bools and floats do not."""
-    if not isinstance(node, bool):
+def _integer(value, where: str) -> int:
+    """An int: ints and numpy integers pass; bools, floats and strings raise ValueError."""
+    if not isinstance(value, bool):
         try:
-            return operator.index(node)
+            return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"node must be an integer, got {node!r}")
+    raise ValueError(f"{where} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ class Intervention:
                 raise ValueError("intervention times must be strictly increasing")
         if ts and ts[0] < 0.0:
             raise ValueError("intervention times must be >= 0")
-        object.__setattr__(self, "node", _node_index(self.node))
+        object.__setattr__(self, "node", _integer(self.node, "node"))
         object.__setattr__(self, "times", ts)
 
 
@@ -370,6 +370,9 @@ def stationary_rates(model: HawkesModel) -> np.ndarray:
 
 def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
               seed: int, force: bool, max_events: int) -> EventHistory:
+    max_events = _integer(max_events, "max_events")
+    if max_events < 0:
+        raise ValueError(f"max_events must be >= 0, got {max_events}")
     n = model.n
     T = model.horizon
     A, B = model.matrices()
@@ -540,7 +543,7 @@ def _decayed_sums(query: np.ndarray, src: Sequence[float], b: float) -> tuple:
 
 def _history_node(model: HawkesModel, history: EventHistory, node) -> int:
     """Check that history and node fit the model; returns the node as an int."""
-    node = _node_index(node)
+    node = _integer(node, "node")
     if not 0 <= node < model.n:
         raise ValueError(f"unknown node {node}")
     if history.n != model.n:

@@ -49,6 +49,19 @@ on the targets. The search always computes the whole set; an answer is
 one AND with the targets' mask, and :class:`GraphicalOracle` keeps the
 set, one int per (sources, conditioning set), for every later target.
 
+The same search also runs from the targets' side (see ``_into``). A walk
+read backwards from ``b`` is a walk of the same kind: each occurrence's
+departure mark takes the place of its arrival mark, an occurrence is a
+collider exactly when both of its marks are heads either way, and the
+pass rules (a noncollider avoids C, a collider is in C) are the same. The
+reversed walk leaves ``b`` by the head of the final edge, so it arrives
+at a parent of ``b`` by a tail and at a sibling by a head, and it may end
+at any node outside C by either mark. So the search started from those
+arrivals reaches, by tail or by head, exactly the nodes with a connecting
+walk into ``B`` given ``C``, and those outside ``C`` are the sources from
+which ``B`` is not separated. The trek test asks ``C = B`` for every
+source, so one such closure per target answers all of them.
+
 The walk-level checkers that cross-validate the search against the
 definition (walk enumeration, a single-walk check) are test code and live
 in ``tests/helpers.py``.
@@ -57,6 +70,7 @@ in ``tests/helpers.py``.
 from __future__ import annotations
 
 import threading
+from itertools import count
 from typing import Iterable
 
 from .graphs import DirectedMixedGraph, GraphError, latent_projection
@@ -92,6 +106,10 @@ class _Compiled:
 _EMPTY_QUERY = "source and target sets must be nonempty"
 
 
+def _unknown(exc: KeyError) -> GraphError:
+    return GraphError(f"unknown nodes {[exc.args[0]]}")
+
+
 def _mask(bit: dict, nodes) -> int:
     """The OR of ``bit``'s values for ``nodes``; an id that is not a key is unknown."""
     mask = 0
@@ -99,7 +117,7 @@ def _mask(bit: dict, nodes) -> int:
         for v in nodes:
             mask |= bit[v]
     except KeyError as exc:
-        raise GraphError(f"unknown nodes {[exc.args[0]]}") from None
+        raise _unknown(exc) from None
     return mask
 
 
@@ -119,28 +137,27 @@ def _targets(form: _Compiled, targets) -> int:
     return b
 
 
-def _reach(form: _Compiled, a: int, c: int) -> int:
-    """The nodes with a head arrival reachable from A given C, as a mask.
+def _reach(form: _Compiled, tail: int, head: int, c: int) -> tuple:
+    """The (tail, head) arrivals reachable given C from the arrivals given.
 
     Breadth first, a whole layer at a time, over two masks: ``tail``, the
-    nodes reached by a tail arrival (a source counts as one), and ``head``,
-    those reached by a head arrival. A node departs by head, to its
-    parents (arriving by tail) and siblings (arriving by head), when it
-    was reached by tail outside C or by head inside C: a noncollider must
-    avoid C, and a collider in C stands for every collider in anc(C) (see
-    the module docstring). It departs by tail, to its children (arriving
-    by head), when it was reached at all outside C. Each node departs
-    each way once, and the search runs until no state is new.
+    nodes reached by a tail arrival, and ``head``, those reached by a head
+    arrival. A node departs by head, to its parents (arriving by tail) and
+    siblings (arriving by head), when it was reached by tail outside C or
+    by head inside C: a noncollider must avoid C, and a collider in C
+    stands for every collider in anc(C) (see the module docstring). It
+    departs by tail, to its children (arriving by head), when it was
+    reached at all outside C. Each node departs each way once, and the
+    search runs until no state is new.
     """
     pa, ch, sib = form.pa, form.ch, form.sib
     outside = ~c
-    tail, head = a & outside, 0
     by_head = by_tail = 0
     while True:
         new_head = (tail & outside | head & c) & ~by_head
         new_tail = (tail | head) & outside & ~by_tail
         if not new_head | new_tail:
-            return head
+            return tail, head
         by_head |= new_head
         by_tail |= new_tail
         while new_head:
@@ -153,6 +170,34 @@ def _reach(form: _Compiled, a: int, c: int) -> int:
             low = new_tail & -new_tail
             new_tail ^= low
             head |= ch[low.bit_length() - 1]
+
+
+def _from(form: _Compiled, a: int, c: int) -> int:
+    """The nodes with a head arrival reachable from A given C, as a mask.
+
+    A source outside C counts as reached by a tail arrival, so it may
+    depart either way.
+    """
+    return _reach(form, a & ~c, 0, c)[1]
+
+
+def _into(form: _Compiled, b: int, c: int) -> int:
+    """The nodes outside C with a connecting walk into B given C, as a mask.
+
+    The search runs backwards from B (see the module docstring): it starts
+    from the parents of B, arrived at by tail, and the siblings of B,
+    arrived at by head.
+    """
+    pa, sib = form.pa, form.sib
+    tail = head = 0
+    while b:
+        low = b & -b
+        b ^= low
+        i = low.bit_length() - 1
+        tail |= pa[i]
+        head |= sib[i]
+    tail, head = _reach(form, tail, head, c)
+    return (tail | head) & ~c
 
 
 def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
@@ -172,14 +217,14 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     form = _Compiled(g)
     a, c = _start(form, sources, given)
     b = _targets(form, targets)
-    return not _reach(form, a, c) & b
+    return not _from(form, a, c) & b
 
 
 # -- the local-independence oracle ----------------------------------------
 
-# Reach masks one oracle keeps before it drops them all and starts again;
-# an entry takes 600-800 bytes on 10- to 13-node graphs, most of it the
-# key's two frozensets. CA on n observed nodes asks n * 2**(n-1) (sources,
+# Masks one oracle keeps before it drops them all and starts again; an
+# entry takes 600-800 bytes on 10- to 13-node graphs, most of it the key's
+# frozensets. CA on n observed nodes asks n * 2**(n-1) (sources,
 # conditioning set) pairs but reuses only those of the source it is on, so
 # the bound caps memory and costs CA little reuse.
 _MAX_SEARCHES = 1 << 14
@@ -200,15 +245,31 @@ class GraphicalOracle:
     already passes the projection and no ``observed``. The projection is
     all the oracle keeps of the truth, and the lookup of a query's ids in
     the oracle's own compiled form of it is the one place a query is
-    validated. The oracle also keeps its call counter and, for each
-    (sources, conditioning set) it has been asked about, one int: the mask
-    of head arrivals that search reached. CA asks the same sources and
-    conditioning set for every target, so a repeat is one AND with the
-    targets' mask. A repeat validates only its targets, as the sources and
-    conditioning set were validated when the search ran. The masks are
-    freed with the oracle, or all at once when there are ``_MAX_SEARCHES``
-    of them. The oracle's lock serializes queries, so one oracle can be
-    shared across threads.
+    validated. Ids are checked in the order sources, conditioning set,
+    nonempty sources, targets.
+
+    The oracle also keeps its call counter and one int per search. A query
+    whose conditioning set equals its target set (the trek test, and CA's
+    ``C = {b}`` queries) is answered from the closure into C (see
+    ``_into``), kept under the key C: every source of that target is one
+    AND with it. Any other query is answered from the mask of head arrivals
+    reachable from its sources, kept under the key (sources, conditioning
+    set): CA asks the same pair for every target, so a repeat is one AND
+    with the targets' mask. A query answered from a kept mask validates
+    only what that mask's search did not: its targets, or, on the target
+    side, its sources. The masks are freed with the oracle, or all at once
+    when there are ``_MAX_SEARCHES`` of them.
+
+    One oracle can be shared across threads on GIL builds of CPython, and
+    queries take no lock. A kept mask is a pure function of its key, each
+    ``get``, ``len``, ``clear`` and store on the dict that holds them is
+    one atomic step under the GIL, and two threads that miss on one key
+    compute and store the same int; under concurrency the dict can exceed
+    ``_MAX_SEARCHES`` by fewer entries than there are threads. Each valid
+    query takes one value from an :func:`itertools.count`, one C call that
+    is also atomic, so no count is lost. The lock serializes only the
+    reads of ``calls``, each of which takes a value too and subtracts the
+    reads before it. Free-threaded builds are not supported.
 
     Parameters
     ----------
@@ -222,7 +283,8 @@ class GraphicalOracle:
         self._graph = truth if observed is None else latent_projection(truth, observed)
         self._form = _Compiled(self._graph)
         self._searches: dict = {}
-        self._calls = 0
+        self._tick = count().__next__
+        self._reads = 0
         self._lock = threading.Lock()
 
     @property
@@ -231,25 +293,56 @@ class GraphicalOracle:
 
     @property
     def calls(self) -> int:
-        return self._calls
+        with self._lock:
+            reads = self._reads
+            self._reads = reads + 1
+            return self._tick() - reads
 
     def label(self, v: int) -> str:
         return self._graph.label(v)
+
+    def _keep(self, key, mask: int) -> int:
+        searches = self._searches
+        if len(searches) >= _MAX_SEARCHES:
+            searches.clear()
+        searches[key] = mask
+        return mask
 
     def query(self, sources, targets, given=()) -> bool:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
         # Freeze what is read twice, so one-shot iterators work: sources and
         # given make the memo key and seed the search.
         sources, given = frozenset(sources), frozenset(given)
+        bit = self._form.bit
+        if given == targets:
+            into = self._searches.get(given)
+            if into is None:
+                a, c = _start(self._form, sources, given)
+                if not c:
+                    raise GraphError(_EMPTY_QUERY)
+                into = self._keep(given, _into(self._form, c, c))
+            else:
+                a = 0
+                try:
+                    for v in sources:
+                        a |= bit[v]
+                except KeyError as exc:
+                    raise _unknown(exc) from None
+                if not a:
+                    raise GraphError(_EMPTY_QUERY)
+            self._tick()
+            return not a & into
         key = (sources, given)
-        form = self._form
-        with self._lock:
-            reach = self._searches.get(key)
-            if reach is None:
-                reach = _reach(form, *_start(form, sources, given))
-                if len(self._searches) >= _MAX_SEARCHES:
-                    self._searches.clear()
-                self._searches[key] = reach
-            answer = not reach & _targets(form, targets)
-            self._calls += 1
-        return answer
+        reach = self._searches.get(key)
+        if reach is None:
+            reach = self._keep(key, _from(self._form, *_start(self._form, sources, given)))
+        b = 0
+        try:
+            for v in targets:
+                b |= bit[v]
+        except KeyError as exc:
+            raise _unknown(exc) from None
+        if not b:
+            raise GraphError(_EMPTY_QUERY)
+        self._tick()
+        return not reach & b

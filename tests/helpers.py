@@ -496,13 +496,18 @@ def graph_strategy(draw, max_n=6, with_bidirected=True):
 
 
 @st.composite
-def sparse_dmg(draw, max_n=30, min_n=1):
-    """Random directed mixed graph on arbitrary nonnegative ids."""
+def sparse_dmg(draw, max_n=30, min_n=1, min_degree=0):
+    """Random directed mixed graph on arbitrary nonnegative ids.
+
+    With ``min_degree`` d, at least d * n directed and d * n // 2
+    bidirected edges are drawn (before duplicates and loops drop out), so
+    wide graphs are not left with a handful of edges.
+    """
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     ids = sorted(draw(st.sets(st.integers(0, 10**9), min_size=n, max_size=n)))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    directed = draw(st.lists(pair, max_size=3 * n))
-    bidirected = draw(st.lists(pair, max_size=n))
+    directed = draw(st.lists(pair, min_size=min_degree * n, max_size=3 * n))
+    bidirected = draw(st.lists(pair, min_size=min_degree * n // 2, max_size=n))
     return DirectedMixedGraph(
         ids,
         [(ids[t], ids[h]) for t, h in directed],

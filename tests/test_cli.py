@@ -402,6 +402,13 @@ class TestFailuresEndAsErrors:
         assert rc == 2
         assert "error: event cap 1 exceeded" in capsys.readouterr().err
 
+    def test_negative_event_cap(self, model_file, capsys):
+        rc = main(["simulate", "--model", model_file, "--max-events", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: max_events must be >= 0, got -1" in captured.err
+        assert "exploding" not in captured.err and captured.out == ""
+
     @staticmethod
     def _drop_learned_edges(monkeypatch, module):
         real_run = module.run

@@ -4,7 +4,8 @@
 per (sources, conditioning set), and answers later targets from it. The
 search checks colliders against C and the reference against anc(C), so
 agreement on the whole mask checks that the two rules reach the same
-nodes. Graphs of 65 nodes and more make the node masks wider than one
+nodes. The same search run backwards from the targets (``_into``) is
+checked against the forward one. Graphs of 65 nodes and more make the node masks wider than one
 machine word. The last test checks the conditioning sets CA hands the
 oracle.
 """
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from causalscreen import DirectedMixedGraph, GraphicalOracle, mu_separated, run, separation
+from causalscreen import (DirectedMixedGraph, GraphicalOracle, latent_projection,
+                          mu_separated, run, separation)
 from causalscreen.experiments import CorpusConfig, random_dmg
 from helpers import (
     brute_force_mu_separated,
@@ -44,7 +46,7 @@ def check_against_reference(g, data, max_given=6):
         assert mu_separated(g, a, b, cond) == reference_mu_separated(g, a, b, cond)
         want = sum(form.bit[v] for v in g.nodes
                    if not reference_mu_separated(g, a, {v}, cond))
-        assert separation._reach(form, *separation._start(form, a, cond)) == want
+        assert separation._from(form, *separation._start(form, a, cond)) == want
 
 
 @given(sparse_dmg(), st.data())
@@ -56,12 +58,44 @@ def test_compiled_search_matches_reference(g, data):
 # No shrink phase: shrinking a failure on graphs this wide takes minutes, so
 # a wrong search fails at once here, and the small-graph test above shrinks
 # the same fault to a minimal example.
-@given(sparse_dmg(min_n=65, max_n=110), st.data())
+@given(sparse_dmg(min_n=65, max_n=110, min_degree=1), st.data())
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow,
                                                     HealthCheck.data_too_large],
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_compiled_search_matches_reference_on_wide_masks(g, data):
     check_against_reference(g, data, max_given=20)
+
+
+def check_into_against_forward(g, data):
+    """The closure into B given C against one forward search per source node.
+
+    ``_into`` must hold exactly the nodes from which a forward search given
+    C reaches B by a head arrival, for C = B (the trek test), a random C
+    and C meeting B.
+    """
+    form = separation._Compiled(g)
+    nodes = st.sampled_from(g.nodes)
+    b = separation._mask(form.bit, data.draw(st.sets(nodes, min_size=1, max_size=3)))
+    c = separation._mask(form.bit, data.draw(st.sets(nodes, max_size=8)))
+    for cond in (b, c, c | b):
+        want = sum(form.bit[v] for v in g.nodes
+                   if separation._from(form, form.bit[v], cond) & b)
+        assert separation._into(form, b, cond) == want
+
+
+@given(sparse_dmg(max_n=20), st.data())
+@settings(max_examples=300)
+def test_target_side_closure_matches_forward_search_with_hidden_nodes(truth, data):
+    observed = data.draw(st.sets(st.sampled_from(truth.nodes), min_size=1))
+    check_into_against_forward(latent_projection(truth, observed), data)
+
+
+@given(sparse_dmg(min_n=65, max_n=110, min_degree=1), st.data())
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow,
+                                                    HealthCheck.data_too_large],
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_target_side_closure_matches_forward_search_on_wide_masks(g, data):
+    check_into_against_forward(g, data)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -13,13 +13,16 @@ from causalscreen import (
     DirectedMixedGraph,
     EventHistory,
     ExponentialKernel,
+    GraphicalOracle,
     HawkesModel,
     Intervention,
     SimulationError,
     causal_graph,
     compensator,
     intensity,
+    parent_graph,
     rescaled_intervals,
+    run,
     simulate,
     simulate_intervened,
     stationarity_check,
@@ -329,6 +332,23 @@ class TestSimulate:
         explosive = HawkesModel((1.0,), ((K(2.0, 1.0),),), 50.0)
         with pytest.raises(SimulationError):
             simulate(explosive, 1, force=True, max_events=100)
+
+    @pytest.mark.parametrize("cap", [-1, 2.5, True, "3", None, np.float64(3.0)])
+    @pytest.mark.parametrize("events", [0, 1])
+    def test_bad_event_cap_is_rejected_before_the_run(self, cap, events):
+        # a zero baseline gives no event, so only a check before the loop sees the cap
+        m = HawkesModel((float(events),), ((K(0.0, 1.0),),), 5.0)
+        with pytest.raises(ValueError, match="max_events must be"):
+            simulate(m, 1, max_events=cap)
+        with pytest.raises(ValueError, match="max_events must be"):
+            simulate_intervened(m, Intervention(0, (1.0,)), 1, max_events=cap)
+
+    def test_event_cap_takes_numpy_ints_and_zero(self):
+        m = HawkesModel((1.0,), ((K(0.5, 1.0),),), 5.0)
+        assert simulate(m, 2, max_events=np.int64(10_000)) == simulate(m, 2)
+        assert simulate(HawkesModel((0.0,), ((K(0.0, 1.0),),), 5.0), 2, max_events=0).total == 0
+        with pytest.raises(SimulationError, match="event cap 0 exceeded"):
+            simulate(m, 2, max_events=0)
 
     def test_poisson_mean(self):
         # no excitation: plain Poisson(2) over T=50, thirty replicates
@@ -644,3 +664,59 @@ class TestPackedThinning:
         assert [h.total for h in histories] == [421, 369]
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
             "d1f93ce58400f610e08aebefac83c1af8cf5b5bd914da3eeefa3702b4077f978")
+
+
+@st.composite
+def screened_models(draw):
+    """Stable models with positive baselines and loops, and an observed subset.
+
+    Every row sum of the branching matrix stays below 0.9; an off-diagonal
+    kernel is absent half the time, so some pairs are linked only through
+    unobserved nodes and some not at all.
+    """
+    n = draw(st.integers(4, 9))
+    ratio = st.floats(0.01, 0.9 / n)
+    mu = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    kernels = tuple(
+        tuple(K(r * b, b) for r, b in zip(
+            [draw(ratio) if a == row or draw(st.booleans()) else 0.0 for a in range(n)],
+            draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n))))
+        for row in range(n))
+    observed = draw(st.sets(st.integers(0, n - 1), min_size=2))
+    return HawkesModel(tuple(mu), kernels, 10.0), sorted(observed)
+
+
+def silenced_rate(R, mu, silent, b):
+    """b's stationary rate with the rows and baselines of ``silent`` zeroed."""
+    R, mu = R.copy(), mu.copy()
+    R[silent] = 0.0
+    mu[silent] = 0.0
+    return np.linalg.solve(np.eye(len(mu)) - R, mu)[b]
+
+
+@given(screened_models())
+@settings(max_examples=300, deadline=None)
+def test_screened_edge_is_an_effect_of_silencing(case):
+    """An edge a -> b of the observed parent graph is exactly an effect on b's rate.
+
+    With every observed node but a and b silenced, silencing a as well
+    changes b's stationary rate (I - R)^-1 mu exactly when a -> b is an
+    edge of ``parent_graph(causal_graph(model), observed)``: a directed
+    path from a to b through unobserved nodes only. CS on the same truth
+    keeps every such edge.
+    """
+    model, observed = case
+    A, B = model.matrices()
+    R, mu = A / B, np.array(model.mu)
+    truth = causal_graph(model)
+    parents = parent_graph(truth, observed).directed
+    for a in observed:
+        for b in observed:
+            if a == b:
+                continue
+            others = [v for v in observed if v not in (a, b)]
+            on = silenced_rate(R, mu, others, b)
+            off = silenced_rate(R, mu, others + [a], b)
+            assert (abs(on - off) > 1e-12 * abs(on)) == ((a, b) in parents), (a, b)
+    learned = run("cs", GraphicalOracle(truth, observed)).graph.directed
+    assert parents <= learned

@@ -1,7 +1,9 @@
 """Walk-based separation: the search, the walk checker, the oracle."""
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,5 +286,76 @@ class TestOracle:
                     for f in futures:
                         assert f.result(timeout=120) == want
                 assert shared.calls == 4 * len(queries)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_lock_free_queries_from_eight_threads_with_readers(self):
+        """Eight threads query one oracle while two others read ``calls``.
+
+        The queries mix trek-shaped ones (C = B), answered from a closure
+        into B, with others answered from a forward search, plus invalid
+        ones that must raise and not count. A short switch interval makes
+        the threads interleave inside ``query``, and a bound of 16 kept
+        masks makes them race on clearing the dict as well as on filling
+        it. A lost count, a wrong kept mask or a read of ``calls`` that
+        goes backwards would show.
+        """
+        truth = random_dmg(CorpusConfig(12, 0.25, 0.15, 1, 4), 0)
+        observed = [v for v in truth.nodes if v % 4]
+        rng = random.Random(19)
+        queries = []
+        for k in range(1000):
+            a = frozenset(rng.sample(observed, rng.randint(1, 2)))
+            b = frozenset(rng.sample(observed, rng.randint(1, 2)))
+            c = b if k % 2 else frozenset(rng.sample(observed, rng.randint(0, 4)))
+            if k % 10 == 3:
+                a = a | {0}                      # unobserved: raises
+            elif k % 10 == 7:
+                a = frozenset()                  # empty: raises
+            queries.append((a, b, c))
+
+        def answer(oracle, q):
+            try:
+                return oracle.query(*q)
+            except GraphError as exc:
+                return str(exc)
+
+        single = GraphicalOracle(truth, observed)
+        want = [answer(single, q) for q in queries]
+        valid = sum(isinstance(w, bool) for w in want)
+        assert single.calls == valid == 800
+        assert {w for w in want[1::2] if isinstance(w, bool)} == {True, False}   # trek-shaped
+
+        def ask(oracle, seed):
+            order = list(range(len(queries)))
+            random.Random(seed).shuffle(order)
+            got = {k: answer(oracle, queries[k]) for k in order}
+            return [got[k] for k in range(len(queries))]
+
+        def read(oracle, stop):
+            seen = []
+            while not stop.is_set():
+                seen.append(oracle.calls)
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd, bound in enumerate((separation._MAX_SEARCHES, 16, 16, 16)):
+                with mock.patch.object(separation, "_MAX_SEARCHES", bound):
+                    shared, stop = GraphicalOracle(truth, observed), threading.Event()
+                    with ThreadPoolExecutor(max_workers=10) as pool:
+                        readers = [pool.submit(read, shared, stop) for _ in range(2)]
+                        try:
+                            askers = [pool.submit(ask, shared, 8 * rnd + k) for k in range(8)]
+                            for f in askers:
+                                assert f.result(timeout=120) == want
+                        finally:
+                            stop.set()
+                        for f in readers:
+                            seen = f.result(timeout=120)
+                            assert seen == sorted(seen)
+                            assert seen[-1] <= 8 * valid
+                    assert shared.calls == 8 * valid
         finally:
             sys.setswitchinterval(interval)
