@@ -64,13 +64,18 @@ def _split_labels(raw: str) -> list:
 
 
 def _resolve_nodes(g: DirectedMixedGraph, raw: str) -> list:
-    """The ids named in ``raw`` by label or id, deduplicated, in id order."""
+    """The ids named in ``raw`` by label or id, deduplicated, in id order.
+
+    An id is written in ASCII decimal digits; ``str.isdigit`` alone would
+    also pass superscripts, which ``int`` rejects, and other scripts'
+    digits, which ``int`` reads as an id.
+    """
     by_label = dict(zip(g.labels(), g.nodes))
     out = set()
     for tok in _split_labels(raw):
         if tok in by_label:
             out.add(by_label[tok])
-        elif tok.isdigit() and int(tok) in g.node_set:
+        elif tok.isascii() and tok.isdigit() and int(tok) in g.node_set:
             out.add(int(tok))
         else:
             raise GraphError(f"unknown node {tok!r}")
@@ -130,7 +135,10 @@ def _parse_intervention(raw: str) -> Intervention:
         node = int(node_s)
     except ValueError:
         raise ValueError(f"intervention target must be a node index: {raw!r}") from None
-    times = tuple(float(t) for t in times_s.split(",") if t.strip()) if times_s else ()
+    try:
+        times = tuple(float(t) for t in times_s.split(",") if t.strip()) if times_s else ()
+    except ValueError:
+        raise ValueError(f"intervention times must be numbers: {raw!r}") from None
     return Intervention(node, times)
 
 

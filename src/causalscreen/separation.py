@@ -62,6 +62,15 @@ walk into ``B`` given ``C``, and those outside ``C`` are the sources from
 which ``B`` is not separated. The trek test asks ``C = B`` for every
 source, so one such closure per target answers all of them.
 
+On graphs of at most ``_CLOSURE_NODES`` nodes the forward search also runs
+for every conditioning set at once (see ``_closure``). The rules are the
+same with the bits turned the other way: per node, one int holds a bit for
+each C ⊆ V, set when the node is reached given that C. The sweep reaches
+the same least fixpoint, one for each C, so reading bit C off the targets
+gives the answer for C. CA asks every subset of the other nodes for each
+source, and :class:`GraphicalOracle` answers a source from one such
+closure once the source has asked enough distinct sets to pay for it.
+
 The walk-level checkers that cross-validate the search against the
 definition (walk enumeration, a single-walk check) are test code and live
 in ``tests/helpers.py``.
@@ -91,16 +100,19 @@ class _Compiled:
     node there are three int masks, read off the graph's adjacency maps:
     its parents ``pa``, children ``ch`` and siblings ``sib``. The loop
     ``v -> v`` puts ``v`` in its own ``pa`` and ``ch``, so it contributes
-    both of its orientations. Nothing changes after construction.
+    both of its orientations. ``tables`` stays ``None`` until the first
+    ``_closure`` on the form fills it; nothing else changes after
+    construction.
     """
 
-    __slots__ = ("bit", "pa", "ch", "sib")
+    __slots__ = ("bit", "pa", "ch", "sib", "tables")
 
     def __init__(self, g: DirectedMixedGraph):
         self.bit = bit = {v: 1 << i for i, v in enumerate(g.nodes)}
         self.pa, self.ch, self.sib = (
             tuple(sum(bit[w] for w in adj[v]) for v in g.nodes)
             for adj in (g._parents, g._children, g._siblings))
+        self.tables = None
 
 
 _EMPTY_QUERY = "source and target sets must be nonempty"
@@ -200,6 +212,84 @@ def _into(form: _Compiled, b: int, c: int) -> int:
     return (tail | head) & ~c
 
 
+def _indices(mask: int) -> tuple:
+    """The node indices of the bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def _tables(form: _Compiled) -> tuple:
+    """What ``_closure`` reads of a form: per node, the conditioning sets
+    that hold it and those that do not, and its parents, children and
+    siblings as index tuples.
+
+    Bit c of ``inside[j]`` is set when node j is in the set with node mask
+    c; across c that is runs of 2**j clear bits and 2**j set bits, which is
+    the set half of each 2**(j+1)-bit period, repeated over all 2**n bits.
+    """
+    n = len(form.pa)
+    full = (1 << (1 << n)) - 1
+    inside = tuple(full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+                   for j in range(n))
+    outside = tuple(full ^ m for m in inside)
+    return (inside, outside, *(tuple(map(_indices, masks))
+                               for masks in (form.pa, form.ch, form.sib)))
+
+
+def _closure(form: _Compiled, a: int) -> list:
+    """Head arrivals from A given every conditioning set, one int per node.
+
+    ``_reach``'s rules transposed: a bit per conditioning set instead of a
+    bit per node. Bit c of entry v is set when v is reached from A by a
+    head arrival given the set whose node mask is c, so it equals bit v of
+    ``_from(form, a, c)``. ``tail`` and ``head`` hold, per node, the sets
+    given which it is reached by a tail or a head arrival. A source starts
+    as reached by tail given each set that does not hold it. A node departs
+    by head, to its parents (by tail) and siblings (by head), given the sets
+    in which it was reached by tail outside C or by head inside C, and by
+    tail, to its children (by head), given those in which it was reached
+    at all outside C. The sweep runs over the nodes until no departure is
+    new. A node passes on its whole departure mask each time it grows;
+    the bits already passed on change nothing where they arrive.
+
+    The ints are 2**n bits wide, so this serves only small forms: the
+    oracle builds it on forms of at most ``_CLOSURE_NODES`` nodes.
+    """
+    tables = form.tables
+    if tables is None:
+        tables = form.tables = _tables(form)
+    inside, outside, parents, children, siblings = tables
+    nodes = range(len(inside))
+    tail = [outside[v] if a >> v & 1 else 0 for v in nodes]
+    head = [0] * len(inside)
+    by_head = head[:]
+    by_tail = head[:]
+    changed = True
+    while changed:
+        changed = False
+        for v in nodes:
+            t, h, out = tail[v], head[v], outside[v]
+            gone = t & out | h & inside[v]
+            if gone != by_head[v]:
+                changed = True
+                by_head[v] = gone
+                for p in parents[v]:
+                    tail[p] |= gone
+                for s in siblings[v]:
+                    head[s] |= gone
+            gone = (t | h) & out
+            if gone != by_tail[v]:
+                changed = True
+                by_tail[v] = gone
+                for k in children[v]:
+                    head[k] |= gone
+    return head
+
+
 def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
                  targets: Iterable[int], given: Iterable[int] = ()) -> bool:
     """True when ``targets`` is separated from ``sources`` given ``given``.
@@ -222,12 +312,31 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
 
 # -- the local-independence oracle ----------------------------------------
 
-# Masks one oracle keeps before it drops them all and starts again; an
-# entry takes 600-800 bytes on 10- to 13-node graphs, most of it the key's
-# frozensets. CA on n observed nodes asks n * 2**(n-1) (sources,
-# conditioning set) pairs but reuses only those of the source it is on, so
-# the bound caps memory and costs CA little reuse.
+# Entries one dict of an oracle keeps before it drops them all and starts
+# again. A kept mask takes 600-800 bytes on 10- to 13-node graphs, most of
+# it the key's frozensets. CA on n observed nodes asks n * 2**(n-1)
+# (sources, conditioning set) pairs but reuses only those of the source it
+# is on, so the bound caps memory and costs CA little reuse. Closures are
+# kept under the same bound in a dict of their own; there are at most
+# 2**_CLOSURE_NODES - 1 source sets to build them for.
 _MAX_SEARCHES = 1 << 14
+
+# Forms of at most this many nodes answer a source from its closure: the
+# closure's ints are 2**n bits wide, 4,096 at 12 nodes.
+_CLOSURE_NODES = 12
+
+# The distinct forward searches of one source set after which the oracle
+# builds its closure instead (ski rental: on 8-node graphs a closure costs
+# about 15 forward searches).
+_PROMOTE = 16
+
+
+def _keep(store: dict, key, value):
+    """Store ``value`` under ``key``, dropping everything first when full."""
+    if len(store) >= _MAX_SEARCHES:
+        store.clear()
+    store[key] = value
+    return value
 
 
 class GraphicalOracle:
@@ -248,28 +357,38 @@ class GraphicalOracle:
     validated. Ids are checked in the order sources, conditioning set,
     nonempty sources, targets.
 
-    The oracle also keeps its call counter and one int per search. A query
-    whose conditioning set equals its target set (the trek test, and CA's
-    ``C = {b}`` queries) is answered from the closure into C (see
+    The oracle also keeps its call counter and what its searches found. A
+    query whose conditioning set equals its target set (the trek test, and
+    CA's ``C = {b}`` queries) is answered from the closure into C (see
     ``_into``), kept under the key C: every source of that target is one
     AND with it. Any other query is answered from the mask of head arrivals
     reachable from its sources, kept under the key (sources, conditioning
     set): CA asks the same pair for every target, so a repeat is one AND
-    with the targets' mask. A query answered from a kept mask validates
-    only what that mask's search did not: its targets, or, on the target
-    side, its sources. The masks are freed with the oracle, or all at once
-    when there are ``_MAX_SEARCHES`` of them.
+    with the targets' mask. On a projection of at most ``_CLOSURE_NODES``
+    nodes the oracle also counts each source set's searches, and at the
+    ``_PROMOTE``-th builds the source's closure over every conditioning set
+    (see ``_closure``): from then on each of that source's queries is a
+    few lookups and one shift, whatever its conditioning set. CA promotes
+    every source it screens from; a screen that asks each source fewer
+    sets never does. A query answered from a kept result validates only
+    what that result's search did not: its targets, its conditioning set,
+    or, on the target side, its sources. The masks and the closures are
+    freed with the oracle, or each kind all at once when there are
+    ``_MAX_SEARCHES`` of it.
 
     One oracle can be shared across threads on GIL builds of CPython, and
-    queries take no lock. A kept mask is a pure function of its key, each
-    ``get``, ``len``, ``clear`` and store on the dict that holds them is
-    one atomic step under the GIL, and two threads that miss on one key
-    compute and store the same int; under concurrency the dict can exceed
-    ``_MAX_SEARCHES`` by fewer entries than there are threads. Each valid
-    query takes one value from an :func:`itertools.count`, one C call that
-    is also atomic, so no count is lost. The lock serializes only the
-    reads of ``calls``, each of which takes a value too and subtracts the
-    reads before it. Free-threaded builds are not supported.
+    queries take no lock. A kept mask or closure is a pure function of its
+    key, each ``get``, ``len``, ``clear`` and store on the dicts that hold
+    them is one atomic step under the GIL, and two threads that miss on one
+    key compute and store the same value; under concurrency a dict can
+    exceed ``_MAX_SEARCHES`` by fewer entries than there are threads. The
+    count of a source's searches is a read and a write with no lock: a lost
+    increment only builds the closure a search later, and two threads may
+    both build it. Each valid query takes one value from an
+    :func:`itertools.count`, one C call that is also atomic, so no count is
+    lost. The lock serializes only the reads of ``calls``, each of which
+    takes a value too and subtracts the reads before it. Free-threaded
+    builds are not supported.
 
     Parameters
     ----------
@@ -283,6 +402,14 @@ class GraphicalOracle:
         self._graph = truth if observed is None else latent_projection(truth, observed)
         self._form = _Compiled(self._graph)
         self._searches: dict = {}
+        # Only forms of at most _CLOSURE_NODES nodes get closures; on larger
+        # ones _closures is None and no step looks for one. _misses counts
+        # each source set's forward searches and _givens keeps the node mask
+        # of each conditioning set a closure has answered; neither has more
+        # than 2**_CLOSURE_NODES keys.
+        self._closures = {} if len(self._form.pa) <= _CLOSURE_NODES else None
+        self._misses: dict = {}
+        self._givens: dict = {}
         self._tick = count().__next__
         self._reads = 0
         self._lock = threading.Lock()
@@ -301,12 +428,21 @@ class GraphicalOracle:
     def label(self, v: int) -> str:
         return self._graph.label(v)
 
-    def _keep(self, key, mask: int) -> int:
-        searches = self._searches
-        if len(searches) >= _MAX_SEARCHES:
-            searches.clear()
-        searches[key] = mask
-        return mask
+    def _promote(self, sources: frozenset, a: int):
+        """Count a search of ``sources``; at the ``_PROMOTE``-th, build its closure.
+
+        The closure maps each node id to the node's int from ``_closure``
+        with one more bit set above all 2**n of its sets, so that the OR
+        over any nonempty target set is nonzero.
+        """
+        misses = self._misses
+        missed = misses[sources] = misses.get(sources, 0) + 1
+        if missed < _PROMOTE:
+            return None
+        form = self._form
+        top = 1 << (1 << len(form.pa))
+        return _keep(self._closures, sources,
+                     {v: h | top for v, h in zip(form.bit, _closure(form, a))})
 
     def query(self, sources, targets, given=()) -> bool:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
@@ -320,7 +456,7 @@ class GraphicalOracle:
                 a, c = _start(self._form, sources, given)
                 if not c:
                     raise GraphError(_EMPTY_QUERY)
-                into = self._keep(given, _into(self._form, c, c))
+                into = _keep(self._searches, given, _into(self._form, c, c))
             else:
                 a = 0
                 try:
@@ -332,17 +468,38 @@ class GraphicalOracle:
                     raise GraphError(_EMPTY_QUERY)
             self._tick()
             return not a & into
-        key = (sources, given)
-        reach = self._searches.get(key)
-        if reach is None:
-            reach = self._keep(key, _from(self._form, *_start(self._form, sources, given)))
-        b = 0
+        closures = self._closures
+        closure = None if closures is None else closures.get(sources)
+        if closure is None:
+            key = (sources, given)
+            reach = self._searches.get(key)
+            if reach is None:
+                a, c = _start(self._form, sources, given)
+                if closures is not None:
+                    closure = self._promote(sources, a)
+                if closure is None:
+                    reach = _keep(self._searches, key, _from(self._form, a, c))
+            if closure is None:
+                b = 0
+                try:
+                    for v in targets:
+                        b |= bit[v]
+                except KeyError as exc:
+                    raise _unknown(exc) from None
+                if not b:
+                    raise GraphError(_EMPTY_QUERY)
+                self._tick()
+                return not reach & b
+        c = self._givens.get(given)
+        if c is None:
+            c = self._givens[given] = _mask(bit, given)
+        h = 0
         try:
             for v in targets:
-                b |= bit[v]
+                h |= closure[v]
         except KeyError as exc:
             raise _unknown(exc) from None
-        if not b:
+        if not h:
             raise GraphError(_EMPTY_QUERY)
         self._tick()
-        return not reach & b
+        return not h >> c & 1

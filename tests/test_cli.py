@@ -409,6 +409,26 @@ class TestFailuresEndAsErrors:
         assert "error: max_events must be >= 0, got -1" in captured.err
         assert "exploding" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("spec", ["1@a", "0@1,x", "0@1,,2e"])
+    def test_intervention_times_must_be_numbers(self, model_file, capsys, spec):
+        rc = main(["simulate", "--model", model_file, "--intervene", spec])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: intervention times must be numbers: {spec!r}\n"
+        assert captured.out == ""
+
+    # a superscript digit, which int() rejects, and Arabic-Indic one, which
+    # int() reads as 1 (node b of the demo graph)
+    @pytest.mark.parametrize("token", ["²", "١", "1²", "٣"])
+    def test_node_ids_are_ascii_decimal(self, graph_file, capsys, token):
+        for argv in (["musep", "--graph", graph_file, "-A", "a", "-B", token],
+                     ["learn", "--graph", graph_file, "--observed", f"a,{token}"]):
+            rc = main(argv)
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: unknown node {token!r}\n"
+            assert captured.out == ""
+
     @staticmethod
     def _drop_learned_edges(monkeypatch, module):
         real_run = module.run

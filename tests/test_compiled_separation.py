@@ -5,9 +5,14 @@ per (sources, conditioning set), and answers later targets from it. The
 search checks colliders against C and the reference against anc(C), so
 agreement on the whole mask checks that the two rules reach the same
 nodes. The same search run backwards from the targets (``_into``) is
-checked against the forward one. Graphs of 65 nodes and more make the node masks wider than one
-machine word. The last test checks the conditioning sets CA hands the
-oracle.
+checked against the forward one, and so is the search run for every
+conditioning set at once (``_closure``), which the oracle builds for a
+source of a small projection once the source has asked ``_PROMOTE``
+distinct sets. Graphs of 65 nodes and more make the node masks wider than
+one machine word. The oracle must answer, count and fail alike whether it
+builds closures at the first search of every source or never; the golden
+digest, the unlogged runs and criterion 1's enumeration are rerun both
+ways. The last test checks the conditioning sets CA hands the oracle.
 """
 import random
 from unittest import mock
@@ -16,9 +21,11 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from causalscreen import (DirectedMixedGraph, GraphicalOracle, latent_projection,
-                          mu_separated, run, separation)
+from causalscreen import (DirectedMixedGraph, GraphError, GraphicalOracle,
+                          latent_projection, mu_separated, run, separation)
 from causalscreen.experiments import CorpusConfig, random_dmg
+import test_acceptance as acceptance
+import test_screening_golden as golden
 from helpers import (
     brute_force_mu_separated,
     ca_queries,
@@ -96,6 +103,155 @@ def test_target_side_closure_matches_forward_search_with_hidden_nodes(truth, dat
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_target_side_closure_matches_forward_search_on_wide_masks(g, data):
     check_into_against_forward(g, data)
+
+
+def check_closure_against_forward(g, a):
+    """Bit c of each node's int from ``_closure`` against ``_from`` given c, for every c."""
+    form = separation._Compiled(g)
+    heads = separation._closure(form, a)
+    assert len(heads) == g.n
+    for c in range(1 << g.n):
+        reached = sum((h >> c & 1) << v for v, h in enumerate(heads))
+        assert reached == separation._from(form, a, c), c
+
+
+@given(sparse_dmg(max_n=14), st.data())
+@settings(max_examples=200)
+def test_closure_matches_forward_search_for_every_conditioning_set(truth, data):
+    """On projections of up to 9 nodes, one and several sources; every C,
+    those meeting A included, is one bit of the closure."""
+    observed = data.draw(st.sets(st.sampled_from(truth.nodes), min_size=1, max_size=9))
+    g = latent_projection(truth, observed)
+    nodes = st.sampled_from(range(g.n))
+    for sources in (data.draw(st.sets(nodes, min_size=1, max_size=1)),
+                    data.draw(st.sets(nodes, min_size=min(2, g.n), max_size=4))):
+        check_closure_against_forward(g, sum(1 << v for v in sources))
+
+
+def test_closure_matches_forward_search_on_twelve_nodes():
+    """The largest closure the oracle builds: 4,096 sets, on a projection."""
+    truth = random_dmg(CorpusConfig(15, 0.15, 0.05, 1, 1), 0)
+    g = latent_projection(truth, truth.nodes[:12])
+    assert g.n == separation._CLOSURE_NODES and g.bidirected
+    for a in (1, 1 << 5, 1 << 11, 0b100010010001):
+        check_closure_against_forward(g, a)
+
+
+@st.composite
+def query_streams(draw):
+    """A truth, its observed nodes and query streams: CA order, shuffled,
+    repeated, and random queries with invalid ones mixed in.
+
+    A query is (sources, targets, given, one_shot); with ``one_shot`` each
+    set is passed as an iterator. Invalid queries name a hidden node, an id
+    no node has or a label, or have empty sources or targets.
+    """
+    truth = draw(sparse_dmg(max_n=9))
+    observed = sorted(draw(st.sets(st.sampled_from(truth.nodes), min_size=min(2, truth.n),
+                                   max_size=6)))
+    hidden = [v for v in truth.nodes if v not in observed]
+    nodes = st.sampled_from(observed)
+    bad = st.sampled_from(hidden + [-1, "x", 1.5])
+    node_sets = st.sets(nodes, min_size=1, max_size=3)
+    maybe_bad = st.one_of(node_sets, node_sets.flatmap(
+        lambda s: st.sets(bad, min_size=1, max_size=1).map(s.union)), st.just(set()))
+    ca = [(a, b, c, False) for a, b, c in ca_queries(observed)]
+    mixed = draw(st.lists(st.tuples(maybe_bad, maybe_bad,
+                                    st.one_of(st.sets(nodes, max_size=4), maybe_bad),
+                                    st.booleans()), max_size=40))
+    return truth, observed, (
+        ca,
+        draw(st.permutations(ca)),
+        ca + ca,
+        draw(st.permutations(mixed + ca[:60] + mixed + ca[:60])),
+    )
+
+
+def answers(truth, observed, queries):
+    """Each query's answer or error message, and the final call count."""
+    oracle = GraphicalOracle(truth, observed)
+    out = []
+    for a, b, c, one_shot in queries:
+        args = (iter(a), iter(b), iter(c)) if one_shot else (a, b, c)
+        try:
+            out.append(oracle.query(*args))
+        except GraphError as exc:
+            out.append(str(exc))
+    return out, oracle.calls, oracle._closures
+
+
+@given(query_streams())
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+def test_closures_do_not_change_answers_counts_or_errors(case):
+    """With a closure at every source's first search, or never, each stream
+    gives the same answers, the same errors in the same order and the same
+    ``calls``."""
+    truth, observed, streams = case
+    for k, queries in enumerate(streams):
+        with mock.patch.object(separation, "_PROMOTE", 10**9):
+            want, calls, closures = answers(truth, observed, queries)
+        assert not closures
+        with mock.patch.object(separation, "_PROMOTE", 1):
+            got, promoted_calls, closures = answers(truth, observed, queries)
+        assert got == want
+        assert promoted_calls == calls == sum(isinstance(w, bool) for w in want)
+        if k < 3 and queries:    # the CA streams start with a source's first search
+            assert closures
+
+
+def test_empty_targets_fail_on_a_closure():
+    """Once a source has a closure, empty targets, as a set or a one-shot
+    iterator, still fail as empty and are not counted."""
+    g = DirectedMixedGraph(3, directed=[(0, 1), (1, 2)])
+    with mock.patch.object(separation, "_PROMOTE", 1):
+        oracle = GraphicalOracle(g)
+        assert oracle.query({0}, {2}, {1}) is True
+        assert oracle._closures
+        for targets in (set(), iter([])):
+            with pytest.raises(GraphError, match="source and target sets must be nonempty"):
+                oracle.query({0}, targets, {1})
+        with pytest.raises(GraphError, match=r"unknown nodes \[5\]"):
+            oracle.query({0}, {2}, {5})
+        assert oracle.query(iter([0]), iter([1, 2]), iter([])) is False
+        assert oracle.calls == 2
+
+
+FORCED = pytest.mark.parametrize("promote", [1, 10**9], ids=["closure-first", "no-closure"])
+
+
+@FORCED
+def test_golden_digest_with_forced_promotion(monkeypatch, promote):
+    monkeypatch.setattr(separation, "_PROMOTE", promote)
+    assert golden.screening_digest() == golden.GOLDEN
+
+
+@FORCED
+def test_unlogged_runs_match_logged_runs_with_forced_promotion(monkeypatch, promote):
+    monkeypatch.setattr(separation, "_PROMOTE", promote)
+    golden.test_unlogged_runs_match_logged_runs()
+
+
+def test_criterion_01_enumeration_through_oracles_with_forced_promotion(monkeypatch):
+    """Criterion 1's corpus and queries, asked of two oracles per graph: one
+    that answers every source from its closure and one that never builds a
+    closure."""
+    queries = mismatches = 0
+    for g in acceptance.separation_corpus():
+        oracles = {}
+        for promote in (1, 10**9):
+            monkeypatch.setattr(separation, "_PROMOTE", promote)
+            oracles[promote] = GraphicalOracle(g)
+        for a in g.nodes:
+            rest = [v for v in g.nodes if v != a]
+            for c in powerset(rest):
+                for b in g.nodes:
+                    want = brute_force_mu_separated(g, {a}, {b}, c)
+                    for promote, oracle in oracles.items():
+                        monkeypatch.setattr(separation, "_PROMOTE", promote)
+                        queries += 1
+                        mismatches += oracle.query({a}, {b}, c) != want
+        assert oracles[1]._closures and not oracles[10**9]._closures
+    assert queries == 2 * 55944 and mismatches == 0
 
 
 @pytest.mark.parametrize("seed", range(6))

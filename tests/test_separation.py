@@ -359,3 +359,52 @@ class TestOracle:
                     assert shared.calls == 8 * valid
         finally:
             sys.setswitchinterval(interval)
+
+    def test_closures_built_from_eight_threads(self):
+        """Eight threads ask CA's queries, each in its own shuffled order, of
+        one oracle that answers sources from closures.
+
+        With ``_PROMOTE`` at 1 every thread builds closures from its first
+        query of a source on, so several build and store the same one;
+        at 2 and 3 the threads also race on the count of a source's
+        searches, and a bound of 16 entries makes them race on clearing the
+        kept masks and closures. Every answer must equal a single-threaded
+        oracle's and ``calls`` must equal the queries asked.
+
+        A lost count of searches is harmless: the source's closure is built
+        a search later, and a kept mask and a closure give the same answer.
+        A lost call count is not, and this test cannot see every one. CPython
+        switches threads only where the interpreter checks for a pending
+        switch, so a read and a write of shared state with no call between
+        them are never split here; only a lost update across a call shows.
+        """
+        truth = random_dmg(CorpusConfig(9, 0.25, 0.12, 1, 6), 0)
+        observed = truth.nodes[2:]
+        queries = ca_queries(observed)
+        assert len(queries) == 42 * 64
+        single = GraphicalOracle(truth, observed)
+        want = [single.query(*q) for q in queries]
+        assert single.calls == len(queries)
+
+        def ask(oracle, seed):
+            order = list(range(len(queries)))
+            random.Random(seed).shuffle(order)
+            got = {k: oracle.query(*queries[k]) for k in order}
+            return [got[k] for k in range(len(queries))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd, (promote, bound) in enumerate(((1, separation._MAX_SEARCHES), (1, 16),
+                                                    (2, 16), (3, 16))):
+                with mock.patch.object(separation, "_PROMOTE", promote), \
+                        mock.patch.object(separation, "_MAX_SEARCHES", bound):
+                    shared = GraphicalOracle(truth, observed)
+                    with ThreadPoolExecutor(max_workers=8) as pool:
+                        futures = [pool.submit(ask, shared, 8 * rnd + k) for k in range(8)]
+                        for f in futures:
+                            assert f.result(timeout=120) == want
+                    assert shared._closures
+                    assert shared.calls == 8 * len(queries)
+        finally:
+            sys.setswitchinterval(interval)
