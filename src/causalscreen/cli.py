@@ -130,11 +130,13 @@ def _cmd_learn(ns) -> int:
 
 
 def _parse_intervention(raw: str) -> Intervention:
+    """``NODE@T1,T2,...`` or a bare ``NODE``; the node is ASCII decimal, as in
+    ``_resolve_nodes``, since ``int`` also reads padding, signs and other
+    scripts' digits."""
     node_s, _, times_s = raw.partition("@")
-    try:
-        node = int(node_s)
-    except ValueError:
-        raise ValueError(f"intervention target must be a node index: {raw!r}") from None
+    if not (node_s.isascii() and node_s.isdigit()):
+        raise ValueError(f"intervention target must be a node index: {raw!r}")
+    node = int(node_s)
     try:
         times = tuple(float(t) for t in times_s.split(",") if t.strip()) if times_s else ()
     except ValueError:

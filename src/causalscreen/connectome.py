@@ -2,7 +2,7 @@
 
 The input is a CSV of synapse records, `pre,post,count,type` with type
 "chem" or "gap". Chemical synapses become directed edges pre -> post when
-their merged count clears a threshold; gap junctions are non-directional
+any of their records clears a threshold; gap junctions are non-directional
 couplings and become bidirected edges regardless of count. The resulting
 directed mixed graph is the assumed ground truth.
 
@@ -98,17 +98,19 @@ class ConnectomeResult:
 def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
     """Build the ground-truth graph from a synapse CSV.
 
-    Duplicate records for the same connection are merged by maximum
-    count. Chemical connections survive only with merged count strictly
-    above the threshold; gap junctions are kept regardless of count, and a
-    gap record joining a neuron to itself is skipped (a node cannot
-    confound itself; its loop is already mandatory). Nodes are every
-    neuron named in any record, threshold notwithstanding, sorted by name.
+    A chemical connection becomes an edge when any of its records has a
+    count strictly above the threshold, which is the same as its records
+    merged by maximum count clearing it. Gap junctions are kept regardless
+    of count, and a gap record joining a neuron to itself is skipped (a
+    node cannot confound itself; its loop is already mandatory). Nodes are
+    every neuron named in any record, threshold notwithstanding, sorted by
+    name: the endpoints of the kept edges plus the neurons of the records
+    that add no edge.
     """
     header = fh.readline().strip()
     if header != CONNECTOME_HEADER:
         raise GraphError(f"expected header {CONNECTOME_HEADER!r}, got {header!r}")
-    chem: dict = {}
+    chem: set = set()
     gap: set = set()
     names: set = set()
     for lineno, raw in enumerate(fh, start=2):
@@ -128,21 +130,24 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
             raise GraphError(f"line {lineno}: non-numeric count {count_s!r}") from None
         if count < 1:
             raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
-        if kind != "chem" and kind != "gap":
+        if kind == "chem":
+            if count > threshold:
+                chem.add((pre, post))
+                continue
+        elif kind == "gap":
+            if pre != post:
+                gap.add((pre, post) if pre < post else (post, pre))
+                continue
+        else:
             raise GraphError(f"line {lineno}: type must be chem or gap, got {kind!r}")
         names.add(pre)
         names.add(post)
-        if kind == "chem":
-            key = (pre, post)
-            if count > chem.get(key, 0):
-                chem[key] = count
-        elif pre != post:
-            gap.add((pre, post) if pre < post else (post, pre))
+    names.update(*chem, *gap)
     if not names:
         raise GraphError("connectome file has no records")
     labels = sorted(names)
     index = {name: i for i, name in enumerate(labels)}
-    directed = [(index[a], index[b]) for (a, b), c in chem.items() if c > threshold]
+    directed = [(index[a], index[b]) for a, b in chem]
     bidirected = [(index[a], index[b]) for a, b in sorted(gap)]
     return DirectedMixedGraph(len(labels), directed, bidirected, labels=labels)
 

@@ -44,6 +44,8 @@ Edge = tuple[int, int]
 
 def _node_id(v, what: str = "node id") -> int:
     """``v`` as an int: ints and numpy ints pass; bools, ``1.7`` or ``"1"`` raise."""
+    if type(v) is int:
+        return v
     if not isinstance(v, bool):
         try:
             return operator.index(v)
@@ -376,6 +378,30 @@ def parent_graph(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixe
     return DirectedMixedGraph(obs, edges, (), labels=g._labels)
 
 
+class _Compiled:
+    """Node-mask form of one graph, shared by projection and separation.
+
+    Nodes are renumbered to ``0..N-1`` in sorted id order, node ``i``
+    becomes the bit ``1 << i``, and ``bit`` maps each id to its bit. Per
+    node there are three int masks, read off the graph's adjacency maps:
+    its parents ``pa``, children ``ch`` and siblings ``sib``. The loop
+    ``v -> v`` puts ``v`` in its own ``pa`` and ``ch``, so it contributes
+    both of its orientations. ``tables`` stays ``None`` until the first
+    separation closure on the form fills it (see ``separation._closure``);
+    nothing else changes after construction.
+    """
+
+    __slots__ = ("bit", "pa", "ch", "sib", "tables")
+
+    def __init__(self, g: DirectedMixedGraph):
+        self.bit = bit = {v: 1 << i for i, v in enumerate(g.nodes)}
+        lookup = bit.__getitem__
+        self.pa, self.ch, self.sib = (
+            tuple(sum(map(lookup, adj[v])) for v in g.nodes)
+            for adj in (g._parents, g._children, g._siblings))
+        self.tables = None
+
+
 def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixedGraph:
     """Marginalize a directed mixed graph onto ``observed``.
 
@@ -395,31 +421,48 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
     Hansen, "Markov equivalence of marginalized local independence
     graphs", Ann. Statist. 2020). Projecting a graph onto its full node set
     returns the graph itself; any other call builds a new graph.
+
+    The searches run on the graph's node-mask form (``_Compiled``), a
+    layer at a time: R(o) is one int, and each layer of the search ORs up
+    the ``pa`` masks of its nodes, which gives the next layer (its hidden
+    nodes not yet in R(o)) and the parents of R(o), and their ``sib``
+    masks, which give the nodes that a bidirected edge joins to R(o).
     """
     obs = _check_subset(g, observed)
     if obs == g.node_set:
         return g
-    parents, siblings = g._parents, g._siblings
+    form = _Compiled(g)
+    bit, pa, sib = form.bit, form.pa, form.sib
+    ids = g.nodes
     order = sorted(obs)
-    reach = {}
-    for o in order:
-        r = {o}
-        stack = [o]
-        while stack:
-            for p in parents[stack.pop()]:
-                if p not in r and p not in obs:
-                    r.add(p)
-                    stack.append(p)
-        reach[o] = r
-
+    obs_mask = sum(map(bit.__getitem__, order))
+    reach = []
+    touches = []
     directed = []
-    bidirected = []
-    for i, a in enumerate(order):
-        ra = reach[a]
-        directed.extend((p, a) for p in obs.intersection(set().union(*map(parents.get, ra))))
-        # nodes of R(a) and their siblings: R(b) meeting this set gives a <-> b
-        touch = ra.union(*map(siblings.get, ra))
-        bidirected.extend((a, b) for b in order[i + 1:] if not touch.isdisjoint(reach[b]))
+    for o in order:
+        r = layer = bit[o]
+        parents = touch = 0
+        while layer:
+            up = 0
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                i = low.bit_length() - 1
+                up |= pa[i]
+                touch |= sib[i]
+            parents |= up
+            layer = up & ~(obs_mask | r)
+            r |= layer
+        parents &= obs_mask
+        while parents:
+            low = parents & -parents
+            parents ^= low
+            directed.append((ids[low.bit_length() - 1], o))
+        reach.append(r)
+        # nodes of R(o) and their siblings: R(b) meeting this set gives o <-> b
+        touches.append(touch | r)
+    bidirected = [(a, b) for i, a in enumerate(order)
+                  for b, rb in zip(order[i + 1:], reach[i + 1:]) if touches[i] & rb]
     return DirectedMixedGraph(obs, directed, bidirected, labels=g._labels)
 
 

@@ -37,8 +37,9 @@ the walk constraints at an occurrence depend only on that state and the
 chosen departure. It runs a whole layer of states at a time: the states
 with a tail arrival are one int bitmask over the nodes and those with a
 head arrival another (see ``_reach``). The graph is compiled into node
-masks (see ``_Compiled``), once per :func:`mu_separated` call and once
-per :class:`GraphicalOracle`. A query's node ids become bits by one
+masks (``graphs._Compiled``, the form the latent projection also runs
+on), once per :func:`mu_separated` call and once per
+:class:`GraphicalOracle`. A query's node ids become bits by one
 lookup each in that form's map, and the lookup is the query's
 validation: any value equal to a node id names that node (``1``,
 ``np.int64(1)``, but also ``1.0`` or ``True``), and ``1.5`` or ``"1"``
@@ -82,7 +83,7 @@ import threading
 from itertools import count
 from typing import Iterable
 
-from .graphs import DirectedMixedGraph, GraphError, latent_projection
+from .graphs import DirectedMixedGraph, GraphError, _Compiled, latent_projection
 # Not called here; importable from this module because perfbench/tracing.py
 # patches it by name.
 from .graphs import ancestors
@@ -91,29 +92,6 @@ __all__ = [
     "mu_separated",
     "GraphicalOracle",
 ]
-
-class _Compiled:
-    """Node-mask form of one graph, answering separation by reachability.
-
-    Nodes are renumbered to ``0..N-1`` in sorted id order, node ``i``
-    becomes the bit ``1 << i``, and ``bit`` maps each id to its bit. Per
-    node there are three int masks, read off the graph's adjacency maps:
-    its parents ``pa``, children ``ch`` and siblings ``sib``. The loop
-    ``v -> v`` puts ``v`` in its own ``pa`` and ``ch``, so it contributes
-    both of its orientations. ``tables`` stays ``None`` until the first
-    ``_closure`` on the form fills it; nothing else changes after
-    construction.
-    """
-
-    __slots__ = ("bit", "pa", "ch", "sib", "tables")
-
-    def __init__(self, g: DirectedMixedGraph):
-        self.bit = bit = {v: 1 << i for i, v in enumerate(g.nodes)}
-        self.pa, self.ch, self.sib = (
-            tuple(sum(bit[w] for w in adj[v]) for v in g.nodes)
-            for adj in (g._parents, g._children, g._siblings))
-        self.tables = None
-
 
 _EMPTY_QUERY = "source and target sets must be nonempty"
 

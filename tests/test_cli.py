@@ -429,6 +429,15 @@ class TestFailuresEndAsErrors:
             assert captured.err == f"error: unknown node {token!r}\n"
             assert captured.out == ""
 
+    # int() reads each of these as node 1
+    @pytest.mark.parametrize("spec", ["١@2", " 1@2", "+1@2"])
+    def test_intervention_node_is_ascii_decimal(self, model_file, capsys, spec):
+        rc = main(["simulate", "--model", model_file, "--intervene", spec])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: intervention target must be a node index: {spec!r}\n"
+        assert captured.out == ""
+
     @staticmethod
     def _drop_learned_edges(monkeypatch, module):
         real_run = module.run

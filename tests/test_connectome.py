@@ -147,6 +147,8 @@ class TestIngest:
         ("A,B,0,chem", "line 3: count must be >= 1, got 0"),
         ("A,B, x ,gap", "line 3: non-numeric count 'x'"),
         ("A,B,5,chem\t", None),
+        # str.strip drops the \x1c padding, int alone would not
+        ("A,B,\x1c5\x1c,chem", None),
         ("A,B,5,Chem", "line 3: type must be chem or gap, got 'Chem'"),
     ])
     def test_row_faults_are_named_with_their_line(self, row, message):
@@ -157,6 +159,18 @@ class TestIngest:
             with pytest.raises(GraphError) as info:
                 ingest_connectome(io.StringIO(text))
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows", [
+        ("A,B,5,chem", "A,B,3,chem"),
+        ("A,B,3,chem", "A,B,5,chem"),
+    ])
+    def test_any_record_above_threshold_keeps_the_edge(self, rows):
+        text = "pre,post,count,type\n" + "\n".join(rows) + "\nC,D,2,chem\n"
+        g = ingest_connectome(io.StringIO(text))
+        # C -> D never clears the threshold, yet C and D are still nodes
+        assert g.labels() == ("A", "B", "C", "D")
+        assert set(g.nonloop_directed) == {(0, 1)}
+        assert ingest_connectome(io.StringIO(text), threshold=5).nonloop_directed == frozenset()
 
     @given(synapse_table(), st.integers(0, 6))
     @settings(max_examples=300)

@@ -20,16 +20,13 @@ def labelled(g: DirectedMixedGraph) -> DirectedMixedGraph:
 
 
 @st.composite
-def graph_and_observed(draw, max_n=14):
-    g = labelled(draw(sparse_dmg(max_n=max_n)))
+def graph_and_observed(draw, graphs=sparse_dmg(max_n=14)):
+    g = labelled(draw(graphs))
     observed = draw(st.sets(st.sampled_from(g.nodes), min_size=1))
     return g, frozenset(observed)
 
 
-@given(graph_and_observed())
-@settings(max_examples=400)
-def test_projection_matches_elimination(case):
-    g, observed = case
+def check_projection(g, observed):
     got = latent_projection(g, observed)
     want = reference_latent_projection(g, observed)
     assert got == want
@@ -37,7 +34,21 @@ def test_projection_matches_elimination(case):
     assert latent_projection(g, g.nodes) is g
 
 
-@given(graph_and_observed(max_n=10), st.data())
+@given(graph_and_observed())
+@settings(max_examples=400)
+def test_projection_matches_elimination(case):
+    check_projection(*case)
+
+
+# 65 or more nodes: the node masks of the projection's search span more
+# than one 64-bit machine word
+@given(graph_and_observed(sparse_dmg(min_n=65, max_n=120, min_degree=2)))
+@settings(max_examples=40, deadline=None)
+def test_projection_matches_elimination_on_wide_graphs(case):
+    check_projection(*case)
+
+
+@given(graph_and_observed(sparse_dmg(max_n=10)), st.data())
 @settings(max_examples=200)
 def test_projection_and_canonical_form_preserve_separation(case, data):
     g, observed = case
@@ -53,7 +64,7 @@ def test_projection_and_canonical_form_preserve_separation(case, data):
         assert mu_separated(canon, a, b, c) == want
 
 
-@given(graph_and_observed(max_n=10), st.data())
+@given(graph_and_observed(sparse_dmg(max_n=10)), st.data())
 @settings(max_examples=100)
 def test_oracle_matches_search_on_the_truth(case, data):
     g, observed = case
