@@ -299,7 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latent-fraction", type=float, default=0.0,
                    help="fraction of nodes hidden from the oracle")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for replicate sweeps")
+                   help="worker threads for replicate sweeps; each replicate builds "
+                        "its own oracles, and on GIL builds threads do not speed up "
+                        "the pure-Python replicates")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--timing", action="store_true",
                    help="measure per-run wall time (breaks byte determinism)")

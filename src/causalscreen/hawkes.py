@@ -340,6 +340,7 @@ def causal_graph(model: HawkesModel) -> DirectedMixedGraph:
 
 def intensity(model: HawkesModel, history: EventHistory, t: float) -> np.ndarray:
     """Intensity vector at time t, using only events strictly before t."""
+    _same_nodes(model, history)
     if not (0.0 <= t <= model.horizon):
         raise ValueError(f"time {t} outside [0, {model.horizon}]")
     A, B = model.matrices()
@@ -368,6 +369,9 @@ def stationary_rates(model: HawkesModel) -> np.ndarray:
     return np.linalg.solve(np.eye(model.n) - R, np.array(model.mu, dtype=float))
 
 
+# Overflow in the loop either decays a kernel to 0.0 (a huge b) or makes the
+# envelope infinite, which the loop reports as a SimulationError.
+@np.errstate(over="ignore")
 def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
               seed: int, force: bool, max_events: int) -> EventHistory:
     max_events = _integer(max_events, "max_events")
@@ -461,6 +465,8 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     tf, nf = next(stops)
     while True:
         lbar = total_intensity()
+        if not lbar < inf:
+            raise SimulationError(f"total intensity overflows at t = {t!r}; model exploding?")
         t_next = t - log1p(-draw()) / lbar if lbar > 0.0 else inf
         node = None
         if tf <= t_next:
@@ -498,7 +504,9 @@ def simulate(model: HawkesModel, seed: int, *, force: bool = False,
     seed pins the history exactly.
 
     A non-stationary model is rejected up front unless ``force`` is set,
-    and even then the event cap aborts runaway trajectories.
+    and even then the event cap aborts runaway trajectories. An envelope
+    that overflows ends the run with a :class:`SimulationError` naming
+    the time.
     """
     return _thinning(model, (), seed, force, max_events)
 
@@ -541,13 +549,17 @@ def _decayed_sums(query: np.ndarray, src: Sequence[float], b: float) -> tuple:
     return counts, g[counts] * decay
 
 
+def _same_nodes(model: HawkesModel, history: EventHistory) -> None:
+    if history.n != model.n:
+        raise ValueError("history and model disagree on node count")
+
+
 def _history_node(model: HawkesModel, history: EventHistory, node) -> int:
     """Check that history and node fit the model; returns the node as an int."""
     node = _integer(node, "node")
     if not 0 <= node < model.n:
         raise ValueError(f"unknown node {node}")
-    if history.n != model.n:
-        raise ValueError("history and model disagree on node count")
+    _same_nodes(model, history)
     return node
 
 

@@ -79,8 +79,6 @@ in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-import threading
-from itertools import count
 from typing import Iterable
 
 from .graphs import DirectedMixedGraph, GraphError, _Compiled, latent_projection
@@ -354,19 +352,8 @@ class GraphicalOracle:
     freed with the oracle, or each kind all at once when there are
     ``_MAX_SEARCHES`` of it.
 
-    One oracle can be shared across threads on GIL builds of CPython, and
-    queries take no lock. A kept mask or closure is a pure function of its
-    key, each ``get``, ``len``, ``clear`` and store on the dicts that hold
-    them is one atomic step under the GIL, and two threads that miss on one
-    key compute and store the same value; under concurrency a dict can
-    exceed ``_MAX_SEARCHES`` by fewer entries than there are threads. The
-    count of a source's searches is a read and a write with no lock: a lost
-    increment only builds the closure a search later, and two threads may
-    both build it. Each valid query takes one value from an
-    :func:`itertools.count`, one C call that is also atomic, so no count is
-    lost. The lock serializes only the reads of ``calls``, each of which
-    takes a value too and subtracts the reads before it. Free-threaded
-    builds are not supported.
+    An oracle is not to be shared across threads: ``bench_run`` gives each
+    (replicate, algorithm) its own.
 
     Parameters
     ----------
@@ -388,9 +375,7 @@ class GraphicalOracle:
         self._closures = {} if len(self._form.pa) <= _CLOSURE_NODES else None
         self._misses: dict = {}
         self._givens: dict = {}
-        self._tick = count().__next__
-        self._reads = 0
-        self._lock = threading.Lock()
+        self._calls = 0
 
     @property
     def observed(self) -> frozenset:
@@ -398,10 +383,7 @@ class GraphicalOracle:
 
     @property
     def calls(self) -> int:
-        with self._lock:
-            reads = self._reads
-            self._reads = reads + 1
-            return self._tick() - reads
+        return self._calls
 
     def label(self, v: int) -> str:
         return self._graph.label(v)
@@ -444,7 +426,7 @@ class GraphicalOracle:
                     raise _unknown(exc) from None
                 if not a:
                     raise GraphError(_EMPTY_QUERY)
-            self._tick()
+            self._calls += 1
             return not a & into
         closures = self._closures
         closure = None if closures is None else closures.get(sources)
@@ -466,7 +448,7 @@ class GraphicalOracle:
                     raise _unknown(exc) from None
                 if not b:
                     raise GraphError(_EMPTY_QUERY)
-                self._tick()
+                self._calls += 1
                 return not reach & b
         c = self._givens.get(given)
         if c is None:
@@ -479,5 +461,5 @@ class GraphicalOracle:
             raise _unknown(exc) from None
         if not h:
             raise GraphError(_EMPTY_QUERY)
-        self._tick()
+        self._calls += 1
         return not h >> c & 1

@@ -568,6 +568,8 @@ def reference_thinning(model: HawkesModel, interventions: Sequence[Intervention]
     while True:
         lam_right = np.where(active, mu + (A * S).sum(axis=1), 0.0)
         lbar = float(lam_right.sum())
+        if not lbar < math.inf:
+            raise SimulationError(f"total intensity overflows at t = {t!r}; model exploding?")
 
         # Draw order per candidate: candidate-time draw (none while the
         # envelope is zero, which leaves only forced events), then (if the

@@ -409,6 +409,16 @@ class TestFailuresEndAsErrors:
         assert "error: max_events must be >= 0, got -1" in captured.err
         assert "exploding" not in captured.err and captured.out == ""
 
+    def test_overflowing_intensity(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        with open(path, "w") as fh:
+            HawkesModel((1e308, 1e308), ((K(0.0, 1.0),) * 2,) * 2, 5.0).to_json(fh)
+        rc = main(["simulate", "--model", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: total intensity overflows at t = 0.0; model exploding?\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("spec", ["1@a", "0@1,x", "0@1,,2e"])
     def test_intervention_times_must_be_numbers(self, model_file, capsys, spec):
         rc = main(["simulate", "--model", model_file, "--intervene", spec])

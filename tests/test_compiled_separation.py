@@ -10,9 +10,10 @@ conditioning set at once (``_closure``), which the oracle builds for a
 source of a small projection once the source has asked ``_PROMOTE``
 distinct sets. Graphs of 65 nodes and more make the node masks wider than
 one machine word. The oracle must answer, count and fail alike whether it
-builds closures at the first search of every source or never; the golden
-digest, the unlogged runs and criterion 1's enumeration are rerun both
-ways. The last test checks the conditioning sets CA hands the oracle.
+builds closures at the first search of every source, at a later one or
+never, and whatever its bound on kept results; the golden digest, the
+unlogged runs and criterion 1's enumeration are rerun at the first search
+and never. The last test checks the conditioning sets CA hands the oracle.
 """
 import random
 from unittest import mock
@@ -180,23 +181,35 @@ def answers(truth, observed, queries):
     return out, oracle.calls, oracle._closures
 
 
+# (_PROMOTE, _MAX_SEARCHES) pairs checked against an oracle that never builds
+# a closure: closures from a source's first, second or third search, under
+# the default bound and under one of 16 kept results that clears them often,
+# and the defaults themselves.
+PROMOTIONS = ((1, separation._MAX_SEARCHES), (1, 16), (2, 16), (3, 16),
+              (separation._PROMOTE, 16), (separation._PROMOTE, separation._MAX_SEARCHES))
+
+
 @given(query_streams())
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 def test_closures_do_not_change_answers_counts_or_errors(case):
-    """With a closure at every source's first search, or never, each stream
-    gives the same answers, the same errors in the same order and the same
-    ``calls``."""
+    """With a closure at every source's first search, at its second or
+    third, at the default count or never, and with kept results cleared at
+    16 entries or at the default bound, each stream gives the same answers,
+    the same errors in the same order and the same ``calls``."""
     truth, observed, streams = case
     for k, queries in enumerate(streams):
         with mock.patch.object(separation, "_PROMOTE", 10**9):
             want, calls, closures = answers(truth, observed, queries)
         assert not closures
-        with mock.patch.object(separation, "_PROMOTE", 1):
-            got, promoted_calls, closures = answers(truth, observed, queries)
-        assert got == want
-        assert promoted_calls == calls == sum(isinstance(w, bool) for w in want)
-        if k < 3 and queries:    # the CA streams start with a source's first search
-            assert closures
+        assert calls == sum(isinstance(w, bool) for w in want)
+        for promote, bound in PROMOTIONS:
+            with mock.patch.object(separation, "_PROMOTE", promote), \
+                    mock.patch.object(separation, "_MAX_SEARCHES", bound):
+                got, promoted_calls, closures = answers(truth, observed, queries)
+            assert got == want
+            assert promoted_calls == calls
+            if promote == 1 and k < 3 and queries:    # CA streams start with a first search
+                assert closures
 
 
 def test_empty_targets_fail_on_a_closure():

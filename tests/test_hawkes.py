@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,11 @@ class TestIntensity:
         with pytest.raises(ValueError):
             intensity(m, EventHistory(((), ()), 10.0), 11.0)
 
+    @pytest.mark.parametrize("times", [((1.0,),), ((), (), (2.0,))])
+    def test_history_and_model_must_agree_on_node_count(self, times):
+        with pytest.raises(ValueError, match="history and model disagree on node count"):
+            intensity(two_node_model(), EventHistory(times, 10.0), 3.0)
+
 
 class TestStationarity:
     def test_critical_single_node(self):
@@ -332,6 +338,24 @@ class TestSimulate:
         explosive = HawkesModel((1.0,), ((K(2.0, 1.0),),), 50.0)
         with pytest.raises(SimulationError):
             simulate(explosive, 1, force=True, max_events=100)
+
+    @pytest.mark.parametrize("model, at", [
+        # no kernels, so stable, but the two baselines sum past the float range
+        (HawkesModel((1e308, 1e308), ((K(0.0, 1.0),) * 2,) * 2, 5.0), "0.0"),
+        # branching ratio 0.95: the second event lands at the first one's
+        # float time, and twice the amplitude overflows
+        (HawkesModel((1.0,), ((K(1.7e308, 1.79e308),),), 5.0), "1.013246905717726"),
+    ])
+    def test_overflowing_envelope_is_an_error(self, model, at):
+        assert stationarity_check(model)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError) as info:
+                simulate(model, 0)
+        assert str(info.value) == f"total intensity overflows at t = {at}; model exploding?"
+        with np.errstate(over="ignore"):
+            want = _thinning_outcome(reference_thinning, model, (), 0, False, 10_000)
+        assert want == ("SimulationError", str(info.value))
 
     @pytest.mark.parametrize("cap", [-1, 2.5, True, "3", None, np.float64(3.0)])
     @pytest.mark.parametrize("events", [0, 1])

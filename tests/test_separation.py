@@ -1,10 +1,4 @@
 """Walk-based separation: the search, the walk checker, the oracle."""
-import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -250,161 +244,3 @@ class TestOracle:
         assert oracle.label(3) == "d"
         with pytest.raises(GraphError):
             oracle.label(1)
-
-    def test_counter_is_thread_safe(self, chain3):
-        oracle = GraphicalOracle(chain3)
-
-        def hammer(_):
-            for _ in range(50):
-                oracle.query({0}, {2}, {1})
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(hammer, range(8)))
-        assert oracle.calls == 400
-
-    def test_shared_oracle_answers_ca_queries_from_four_threads(self):
-        truth = random_dmg(CorpusConfig(7, 0.3, 0.2, 1, 5), 0)
-        queries = ca_queries(truth.nodes)
-        assert len(queries) == 42 * 64
-        single = GraphicalOracle(truth)
-        want = [single.query(*q) for q in queries]
-
-        def ask(oracle, seed):
-            order = list(range(len(queries)))
-            random.Random(seed).shuffle(order)
-            got = {k: oracle.query(*queries[k]) for k in order}
-            return [got[k] for k in range(len(queries))]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # fresh shared oracles, so that each round races on new searches
-            for rnd in range(8):
-                shared = GraphicalOracle(truth)
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    futures = [pool.submit(ask, shared, 4 * rnd + k) for k in range(4)]
-                    for f in futures:
-                        assert f.result(timeout=120) == want
-                assert shared.calls == 4 * len(queries)
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_lock_free_queries_from_eight_threads_with_readers(self):
-        """Eight threads query one oracle while two others read ``calls``.
-
-        The queries mix trek-shaped ones (C = B), answered from a closure
-        into B, with others answered from a forward search, plus invalid
-        ones that must raise and not count. A short switch interval makes
-        the threads interleave inside ``query``, and a bound of 16 kept
-        masks makes them race on clearing the dict as well as on filling
-        it. A lost count, a wrong kept mask or a read of ``calls`` that
-        goes backwards would show.
-        """
-        truth = random_dmg(CorpusConfig(12, 0.25, 0.15, 1, 4), 0)
-        observed = [v for v in truth.nodes if v % 4]
-        rng = random.Random(19)
-        queries = []
-        for k in range(1000):
-            a = frozenset(rng.sample(observed, rng.randint(1, 2)))
-            b = frozenset(rng.sample(observed, rng.randint(1, 2)))
-            c = b if k % 2 else frozenset(rng.sample(observed, rng.randint(0, 4)))
-            if k % 10 == 3:
-                a = a | {0}                      # unobserved: raises
-            elif k % 10 == 7:
-                a = frozenset()                  # empty: raises
-            queries.append((a, b, c))
-
-        def answer(oracle, q):
-            try:
-                return oracle.query(*q)
-            except GraphError as exc:
-                return str(exc)
-
-        single = GraphicalOracle(truth, observed)
-        want = [answer(single, q) for q in queries]
-        valid = sum(isinstance(w, bool) for w in want)
-        assert single.calls == valid == 800
-        assert {w for w in want[1::2] if isinstance(w, bool)} == {True, False}   # trek-shaped
-
-        def ask(oracle, seed):
-            order = list(range(len(queries)))
-            random.Random(seed).shuffle(order)
-            got = {k: answer(oracle, queries[k]) for k in order}
-            return [got[k] for k in range(len(queries))]
-
-        def read(oracle, stop):
-            seen = []
-            while not stop.is_set():
-                seen.append(oracle.calls)
-            return seen
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for rnd, bound in enumerate((separation._MAX_SEARCHES, 16, 16, 16)):
-                with mock.patch.object(separation, "_MAX_SEARCHES", bound):
-                    shared, stop = GraphicalOracle(truth, observed), threading.Event()
-                    with ThreadPoolExecutor(max_workers=10) as pool:
-                        readers = [pool.submit(read, shared, stop) for _ in range(2)]
-                        try:
-                            askers = [pool.submit(ask, shared, 8 * rnd + k) for k in range(8)]
-                            for f in askers:
-                                assert f.result(timeout=120) == want
-                        finally:
-                            stop.set()
-                        for f in readers:
-                            seen = f.result(timeout=120)
-                            assert seen == sorted(seen)
-                            assert seen[-1] <= 8 * valid
-                    assert shared.calls == 8 * valid
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_closures_built_from_eight_threads(self):
-        """Eight threads ask CA's queries, each in its own shuffled order, of
-        one oracle that answers sources from closures.
-
-        With ``_PROMOTE`` at 1 every thread builds closures from its first
-        query of a source on, so several build and store the same one;
-        at 2 and 3 the threads also race on the count of a source's
-        searches, and a bound of 16 entries makes them race on clearing the
-        kept masks and closures. Every answer must equal a single-threaded
-        oracle's and ``calls`` must equal the queries asked.
-
-        A lost count of searches is harmless: the source's closure is built
-        a search later, and a kept mask and a closure give the same answer.
-        A lost call count is not, and this test cannot see every one. CPython
-        switches threads only where the interpreter checks for a pending
-        switch, so a read and a write of shared state with no call between
-        them are never split here; only a lost update across a call shows.
-        """
-        truth = random_dmg(CorpusConfig(9, 0.25, 0.12, 1, 6), 0)
-        observed = truth.nodes[2:]
-        queries = ca_queries(observed)
-        assert len(queries) == 42 * 64
-        single = GraphicalOracle(truth, observed)
-        want = [single.query(*q) for q in queries]
-        assert single.calls == len(queries)
-
-        def ask(oracle, seed):
-            order = list(range(len(queries)))
-            random.Random(seed).shuffle(order)
-            got = {k: oracle.query(*queries[k]) for k in order}
-            return [got[k] for k in range(len(queries))]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for rnd, (promote, bound) in enumerate(((1, separation._MAX_SEARCHES), (1, 16),
-                                                    (2, 16), (3, 16))):
-                with mock.patch.object(separation, "_PROMOTE", promote), \
-                        mock.patch.object(separation, "_MAX_SEARCHES", bound):
-                    shared = GraphicalOracle(truth, observed)
-                    with ThreadPoolExecutor(max_workers=8) as pool:
-                        futures = [pool.submit(ask, shared, 8 * rnd + k) for k in range(8)]
-                        for f in futures:
-                            assert f.result(timeout=120) == want
-                    assert shared._closures
-                    assert shared.calls == 8 * len(queries)
-        finally:
-            sys.setswitchinterval(interval)
