@@ -162,8 +162,8 @@ def degree_weights(g: DirectedMixedGraph, exponent: float = 1.0) -> dict:
     """
     if not math.isfinite(exponent):
         raise ValueError(f"weight exponent must be finite, got {exponent}")
-    deg = {v: len(g.children(v)) + len(g.parents(v)) - 2 + len(g.siblings(v))
-           for v in g.nodes}
+    deg = {v: ch.bit_count() + pa.bit_count() - 2 + sib.bit_count()
+           for v, pa, ch, sib in zip(g.nodes, g._pa, g._ch, g._sib)}
     overflow = f"weight exponent {exponent} overflows the degree weights"
     try:
         weights = {v: (1.0 + d) ** exponent for v, d in deg.items()}

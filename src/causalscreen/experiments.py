@@ -190,12 +190,12 @@ def topk_overlap(truth_deg: Mapping[int, float], out_deg: Mapping[int, float],
 
 def indegrees(g: DirectedMixedGraph) -> dict:
     """Non-loop directed in-degree per node."""
-    return {v: len(g.parents(v)) - 1 for v in g.nodes}
+    return {v: pa.bit_count() - 1 for v, pa in zip(g.nodes, g._pa)}
 
 
 def outdegrees(g: DirectedMixedGraph) -> dict:
     """Non-loop directed out-degree per node."""
-    return {v: len(g.children(v)) - 1 for v in g.nodes}
+    return {v: ch.bit_count() - 1 for v, ch in zip(g.nodes, g._ch)}
 
 
 def _observed_subset(cfg: CorpusConfig, i: int, latent_fraction: float) -> tuple:

@@ -13,7 +13,13 @@ Node identity is a small nonnegative integer, not necessarily contiguous
 Ids are ints or numpy ints; ``True``, ``1.7`` or ``"1"`` is rejected, not
 truncated.
 Labels are display metadata only and do not participate in equality.
-Graphs are immutable, hold no derived state, and are safe to share.
+Graphs are immutable and safe to share.
+
+The constructor stores the edges in two forms: the edge sets, which
+equality, hashing and the exporters read, and the node masks every
+algorithm reads. Node ``i`` in sorted id order is the bit ``1 << i``, and
+each node has an int mask of its parents, children and siblings; the loop
+``v -> v`` puts ``v`` in its own parents and children.
 """
 
 from __future__ import annotations
@@ -54,6 +60,16 @@ def _node_id(v, what: str = "node id") -> int:
     raise GraphError(f"{what} {v!r} is not an integer")
 
 
+def _indices(mask: int) -> tuple:
+    """The node indices of the bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
 class DirectedMixedGraph:
     """An immutable directed mixed graph over integer node ids.
 
@@ -86,7 +102,7 @@ class DirectedMixedGraph:
     """
 
     __slots__ = ("_nodes", "_node_set", "_labels", "_directed", "_bidirected",
-                 "_children", "_parents", "_siblings")
+                 "_bit", "_pa", "_ch", "_sib")
 
     def __init__(self, nodes, directed=(), bidirected=(), labels=None):
         if isinstance(nodes, Iterable):
@@ -116,12 +132,20 @@ class DirectedMixedGraph:
                 raise GraphError("labels must be unique")
             label_map = dict(zip(ids, labels))
 
+        # The masks grow as the edges validate, keyed by id in sorted order;
+        # duplicate edges OR in the same bit again.
+        bit = {v: 1 << i for i, v in enumerate(ids)}
+        pa = dict(bit)      # the loop v -> v
+        ch = dict(bit)
+        sib = dict.fromkeys(ids, 0)
         dir_edges = []
         for t, h in directed:
             t, h = _node_id(t), _node_id(h)
             if t not in node_set or h not in node_set:
                 raise GraphError(f"directed edge {(t, h)} mentions unknown node")
             dir_edges.append((t, h))
+            pa[h] |= bit[t]
+            ch[t] |= bit[h]
         dir_edges.extend(zip(ids, ids))
         dir_edges = frozenset(dir_edges)
 
@@ -133,27 +157,19 @@ class DirectedMixedGraph:
             if a == b:
                 raise GraphError(f"bidirected self-edge at node {a}")
             bi_edges.append((a, b) if a < b else (b, a))
+            sib[a] |= bit[b]
+            sib[b] |= bit[a]
         bi_edges = frozenset(bi_edges)
-
-        # lists, not sets: both edge sets are already free of duplicates
-        children = {v: [] for v in ids}
-        parents = {v: [] for v in ids}
-        siblings = {v: [] for v in ids}
-        for t, h in dir_edges:
-            children[t].append(h)
-            parents[h].append(t)
-        for a, b in bi_edges:
-            siblings[a].append(b)
-            siblings[b].append(a)
 
         self._nodes = ids
         self._node_set = node_set
         self._labels = label_map
         self._directed = dir_edges
         self._bidirected = bi_edges
-        self._children = {v: frozenset(c) for v, c in children.items()}
-        self._parents = {v: frozenset(p) for v, p in parents.items()}
-        self._siblings = {v: frozenset(s) for v, s in siblings.items()}
+        self._bit = bit
+        self._pa = tuple(pa.values())
+        self._ch = tuple(ch.values())
+        self._sib = tuple(sib.values())
 
     # -- basic access ------------------------------------------------------
 
@@ -188,14 +204,21 @@ class DirectedMixedGraph:
             raise GraphError(f"unknown node {v!r}")
         return v
 
+    def _ids(self, mask: int) -> frozenset:
+        """The ids of the nodes whose bits are set in ``mask``."""
+        return frozenset(map(self._nodes.__getitem__, _indices(mask)))
+
+    def _adjacent(self, masks: tuple, v: int) -> frozenset:
+        return self._ids(masks[self._bit[self._check_node(v)].bit_length() - 1])
+
     def children(self, v: int) -> frozenset:
-        return self._children[self._check_node(v)]
+        return self._adjacent(self._ch, v)
 
     def parents(self, v: int) -> frozenset:
-        return self._parents[self._check_node(v)]
+        return self._adjacent(self._pa, v)
 
     def siblings(self, v: int) -> frozenset:
-        return self._siblings[self._check_node(v)]
+        return self._adjacent(self._sib, v)
 
     def has_directed(self, tail: int, head: int) -> bool:
         return (self._check_node(tail), self._check_node(head)) in self._directed
@@ -330,15 +353,16 @@ def ancestors(g: DirectedMixedGraph, of: Iterable[int]) -> frozenset:
     [0, 1, 2]
     """
     seeds = _check_subset(g, of)
-    seen = set(seeds)
-    frontier = deque(seeds)
-    while frontier:
-        v = frontier.popleft()
-        for p in g.parents(v):
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return frozenset(seen)
+    pa = g._pa
+    seen = layer = sum(map(g._bit.__getitem__, seeds))
+    # one layer at a time: the OR of the layer's parent masks, less what is seen
+    while layer:
+        up = 0
+        for i in _indices(layer):
+            up |= pa[i]
+        layer = up & ~seen
+        seen |= layer
+    return g._ids(seen)
 
 
 def directed_part(g: DirectedMixedGraph) -> DirectedMixedGraph:
@@ -378,30 +402,6 @@ def parent_graph(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixe
     return DirectedMixedGraph(obs, edges, (), labels=g._labels)
 
 
-class _Compiled:
-    """Node-mask form of one graph, shared by projection and separation.
-
-    Nodes are renumbered to ``0..N-1`` in sorted id order, node ``i``
-    becomes the bit ``1 << i``, and ``bit`` maps each id to its bit. Per
-    node there are three int masks, read off the graph's adjacency maps:
-    its parents ``pa``, children ``ch`` and siblings ``sib``. The loop
-    ``v -> v`` puts ``v`` in its own ``pa`` and ``ch``, so it contributes
-    both of its orientations. ``tables`` stays ``None`` until the first
-    separation closure on the form fills it (see ``separation._closure``);
-    nothing else changes after construction.
-    """
-
-    __slots__ = ("bit", "pa", "ch", "sib", "tables")
-
-    def __init__(self, g: DirectedMixedGraph):
-        self.bit = bit = {v: 1 << i for i, v in enumerate(g.nodes)}
-        lookup = bit.__getitem__
-        self.pa, self.ch, self.sib = (
-            tuple(sum(map(lookup, adj[v])) for v in g.nodes)
-            for adj in (g._parents, g._children, g._siblings))
-        self.tables = None
-
-
 def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixedGraph:
     """Marginalize a directed mixed graph onto ``observed``.
 
@@ -422,17 +422,16 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
     graphs", Ann. Statist. 2020). Projecting a graph onto its full node set
     returns the graph itself; any other call builds a new graph.
 
-    The searches run on the graph's node-mask form (``_Compiled``), a
-    layer at a time: R(o) is one int, and each layer of the search ORs up
-    the ``pa`` masks of its nodes, which gives the next layer (its hidden
-    nodes not yet in R(o)) and the parents of R(o), and their ``sib``
-    masks, which give the nodes that a bidirected edge joins to R(o).
+    The searches run on the graph's node masks, a layer at a time: R(o)
+    is one int, and each layer of the search ORs up the parent masks of
+    its nodes, which gives the next layer (its hidden nodes not yet in
+    R(o)) and the parents of R(o), and their sibling masks, which give the
+    nodes that a bidirected edge joins to R(o).
     """
     obs = _check_subset(g, observed)
     if obs == g.node_set:
         return g
-    form = _Compiled(g)
-    bit, pa, sib = form.bit, form.pa, form.sib
+    bit, pa, sib = g._bit, g._pa, g._sib
     ids = g.nodes
     order = sorted(obs)
     obs_mask = sum(map(bit.__getitem__, order))

@@ -460,13 +460,18 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     # accepted, node-selection draw. A candidate at or past the stop
     # discards its time draw: the stop's forced event is taken instead, or
     # at the horizon the run ends. Forced and sampled events are recorded
-    # by the same lines.
+    # by the same lines. A candidate whose waiting time rounds to zero lands
+    # at t itself; a node that fires there again, at its own last event time,
+    # has stalled, and the run ends after the next step's overflow check.
     stops = iter(forced + [(math.nextafter(T, inf), None)])
     tf, nf = next(stops)
+    stalled = False
     while True:
         lbar = total_intensity()
         if not lbar < inf:
             raise SimulationError(f"total intensity overflows at t = {t!r}; model exploding?")
+        if stalled:
+            raise SimulationError(f"event times stop advancing at t = {t!r}; model exploding?")
         t_next = t - log1p(-draw()) / lbar if lbar > 0.0 else inf
         node = None
         if tf <= t_next:
@@ -474,6 +479,7 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
                 break
             t_next, node = tf, nf
             tf, nf = next(stops)
+        same = t_next == t
         multiply(neg_b, t_next - t, out=buf)
         exp(buf, out=buf)
         multiply(s, buf, out=s)
@@ -484,6 +490,7 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
                 continue
             add.accumulate(lam, out=cum)
             node = min(int(cum.searchsorted(draw() * ltot, "right")), n - 1)
+            stalled = same and events[node][-1:] == [t]
         by_source[node] += 1.0
         appends[node](t)
         total += 1
@@ -505,8 +512,9 @@ def simulate(model: HawkesModel, seed: int, *, force: bool = False,
 
     A non-stationary model is rejected up front unless ``force`` is set,
     and even then the event cap aborts runaway trajectories. An envelope
-    that overflows ends the run with a :class:`SimulationError` naming
-    the time.
+    that overflows, or one so large that a node fires twice at the same
+    float time, ends the run with a :class:`SimulationError` naming the
+    time.
     """
     return _thinning(model, (), seed, force, max_events)
 

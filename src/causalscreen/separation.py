@@ -36,14 +36,13 @@ The search runs over (node, arrival-mark) states, which is sound because
 the walk constraints at an occurrence depend only on that state and the
 chosen departure. It runs a whole layer of states at a time: the states
 with a tail arrival are one int bitmask over the nodes and those with a
-head arrival another (see ``_reach``). The graph is compiled into node
-masks (``graphs._Compiled``, the form the latent projection also runs
-on), once per :func:`mu_separated` call and once per
-:class:`GraphicalOracle`. A query's node ids become bits by one
-lookup each in that form's map, and the lookup is the query's
-validation: any value equal to a node id names that node (``1``,
-``np.int64(1)``, but also ``1.0`` or ``True``), and ``1.5`` or ``"1"``
-raise :class:`GraphError`.
+head arrival another (see ``_reach``). It reads the graph's own node
+masks, the one form its constructor builds and the latent projection also
+runs on, so nothing is compiled per call or per oracle. A query's node
+ids become bits by one lookup each in the graph's id-to-bit map, and the
+lookup is the query's validation: any value equal to a node id names
+that node (``1``, ``np.int64(1)``, but also ``1.0`` or ``True``), and
+``1.5`` or ``"1"`` raise :class:`GraphError`.
 
 The set of head arrivals reachable from ``A`` given ``C`` does not depend
 on the targets. The search always computes the whole set; an answer is
@@ -81,7 +80,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import DirectedMixedGraph, GraphError, _Compiled, latent_projection
+from .graphs import DirectedMixedGraph, GraphError, _indices, latent_projection
 # Not called here; importable from this module because perfbench/tracing.py
 # patches it by name.
 from .graphs import ancestors
@@ -109,23 +108,15 @@ def _mask(bit: dict, nodes) -> int:
     return mask
 
 
-def _start(form: _Compiled, sources, given) -> tuple:
+def _start(g: DirectedMixedGraph, sources, given) -> tuple:
     """The masks of A and C, validated in that order; A must be nonempty."""
-    a, c = _mask(form.bit, sources), _mask(form.bit, given)
+    a, c = _mask(g._bit, sources), _mask(g._bit, given)
     if not a:
         raise GraphError(_EMPTY_QUERY)
     return a, c
 
 
-def _targets(form: _Compiled, targets) -> int:
-    """The mask of ``targets``, which must be known and nonempty."""
-    b = _mask(form.bit, targets)
-    if not b:
-        raise GraphError(_EMPTY_QUERY)
-    return b
-
-
-def _reach(form: _Compiled, tail: int, head: int, c: int) -> tuple:
+def _reach(g: DirectedMixedGraph, tail: int, head: int, c: int) -> tuple:
     """The (tail, head) arrivals reachable given C from the arrivals given.
 
     Breadth first, a whole layer at a time, over two masks: ``tail``, the
@@ -138,7 +129,7 @@ def _reach(form: _Compiled, tail: int, head: int, c: int) -> tuple:
     reached at all outside C. Each node departs each way once, and the
     search runs until no state is new.
     """
-    pa, ch, sib = form.pa, form.ch, form.sib
+    pa, ch, sib = g._pa, g._ch, g._sib
     outside = ~c
     by_head = by_tail = 0
     while True:
@@ -160,23 +151,23 @@ def _reach(form: _Compiled, tail: int, head: int, c: int) -> tuple:
             head |= ch[low.bit_length() - 1]
 
 
-def _from(form: _Compiled, a: int, c: int) -> int:
+def _from(g: DirectedMixedGraph, a: int, c: int) -> int:
     """The nodes with a head arrival reachable from A given C, as a mask.
 
     A source outside C counts as reached by a tail arrival, so it may
     depart either way.
     """
-    return _reach(form, a & ~c, 0, c)[1]
+    return _reach(g, a & ~c, 0, c)[1]
 
 
-def _into(form: _Compiled, b: int, c: int) -> int:
+def _into(g: DirectedMixedGraph, b: int, c: int) -> int:
     """The nodes outside C with a connecting walk into B given C, as a mask.
 
     The search runs backwards from B (see the module docstring): it starts
     from the parents of B, arrived at by tail, and the siblings of B,
     arrived at by head.
     """
-    pa, sib = form.pa, form.sib
+    pa, sib = g._pa, g._sib
     tail = head = 0
     while b:
         low = b & -b
@@ -184,22 +175,12 @@ def _into(form: _Compiled, b: int, c: int) -> int:
         i = low.bit_length() - 1
         tail |= pa[i]
         head |= sib[i]
-    tail, head = _reach(form, tail, head, c)
+    tail, head = _reach(g, tail, head, c)
     return (tail | head) & ~c
 
 
-def _indices(mask: int) -> tuple:
-    """The node indices of the bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
-
-
-def _tables(form: _Compiled) -> tuple:
-    """What ``_closure`` reads of a form: per node, the conditioning sets
+def _tables(g: DirectedMixedGraph) -> tuple:
+    """What ``_closure`` reads of a graph: per node, the conditioning sets
     that hold it and those that do not, and its parents, children and
     siblings as index tuples.
 
@@ -207,37 +188,35 @@ def _tables(form: _Compiled) -> tuple:
     c; across c that is runs of 2**j clear bits and 2**j set bits, which is
     the set half of each 2**(j+1)-bit period, repeated over all 2**n bits.
     """
-    n = len(form.pa)
+    n = g.n
     full = (1 << (1 << n)) - 1
     inside = tuple(full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
                    for j in range(n))
     outside = tuple(full ^ m for m in inside)
     return (inside, outside, *(tuple(map(_indices, masks))
-                               for masks in (form.pa, form.ch, form.sib)))
+                               for masks in (g._pa, g._ch, g._sib)))
 
 
-def _closure(form: _Compiled, a: int) -> list:
+def _closure(tables: tuple, a: int) -> list:
     """Head arrivals from A given every conditioning set, one int per node.
 
     ``_reach``'s rules transposed: a bit per conditioning set instead of a
     bit per node. Bit c of entry v is set when v is reached from A by a
     head arrival given the set whose node mask is c, so it equals bit v of
-    ``_from(form, a, c)``. ``tail`` and ``head`` hold, per node, the sets
-    given which it is reached by a tail or a head arrival. A source starts
-    as reached by tail given each set that does not hold it. A node departs
-    by head, to its parents (by tail) and siblings (by head), given the sets
-    in which it was reached by tail outside C or by head inside C, and by
-    tail, to its children (by head), given those in which it was reached
-    at all outside C. The sweep runs over the nodes until no departure is
-    new. A node passes on its whole departure mask each time it grows;
-    the bits already passed on change nothing where they arrive.
+    ``_from(g, a, c)`` on the graph ``g`` that ``tables`` were built from
+    (see ``_tables``). ``tail`` and ``head`` hold, per node, the sets given
+    which it is reached by a tail or a head arrival. A source starts as
+    reached by tail given each set that does not hold it. A node departs by
+    head, to its parents (by tail) and siblings (by head), given the sets in
+    which it was reached by tail outside C or by head inside C, and by tail,
+    to its children (by head), given those in which it was reached at all
+    outside C. The sweep runs over the nodes until no departure is new. A
+    node passes on its whole departure mask each time it grows; the bits
+    already passed on change nothing where they arrive.
 
-    The ints are 2**n bits wide, so this serves only small forms: the
-    oracle builds it on forms of at most ``_CLOSURE_NODES`` nodes.
+    The ints are 2**n bits wide, so this serves only small graphs: the
+    oracle builds it on projections of at most ``_CLOSURE_NODES`` nodes.
     """
-    tables = form.tables
-    if tables is None:
-        tables = form.tables = _tables(form)
     inside, outside, parents, children, siblings = tables
     nodes = range(len(inside))
     tail = [outside[v] if a >> v & 1 else 0 for v in nodes]
@@ -270,9 +249,9 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
                  targets: Iterable[int], given: Iterable[int] = ()) -> bool:
     """True when ``targets`` is separated from ``sources`` given ``given``.
 
-    Searches the graph's node-mask form; a head arrival at a node of
-    ``targets`` witnesses a connecting walk. Each call compiles the graph,
-    runs the oracle's search to its end and keeps nothing.
+    Searches the graph's node masks; a head arrival at a node of
+    ``targets`` witnesses a connecting walk. Each call runs the oracle's
+    search to its end and keeps nothing.
 
     >>> g = DirectedMixedGraph(3, directed=[(0, 1), (1, 2)])
     >>> mu_separated(g, {0}, {2}, {1})
@@ -280,10 +259,11 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
     >>> mu_separated(g, {0}, {2})
     False
     """
-    form = _Compiled(g)
-    a, c = _start(form, sources, given)
-    b = _targets(form, targets)
-    return not _from(form, a, c) & b
+    a, c = _start(g, sources, given)
+    b = _mask(g._bit, targets)
+    if not b:
+        raise GraphError(_EMPTY_QUERY)
+    return not _from(g, a, c) & b
 
 
 # -- the local-independence oracle ----------------------------------------
@@ -297,8 +277,8 @@ def mu_separated(g: DirectedMixedGraph, sources: Iterable[int],
 # 2**_CLOSURE_NODES - 1 source sets to build them for.
 _MAX_SEARCHES = 1 << 14
 
-# Forms of at most this many nodes answer a source from its closure: the
-# closure's ints are 2**n bits wide, 4,096 at 12 nodes.
+# Projections of at most this many nodes answer a source from its closure:
+# the closure's ints are 2**n bits wide, 4,096 at 12 nodes.
 _CLOSURE_NODES = 12
 
 # The distinct forward searches of one source set after which the oracle
@@ -329,7 +309,7 @@ class GraphicalOracle:
     nodes and only those nodes; a caller that has projected the truth
     already passes the projection and no ``observed``. The projection is
     all the oracle keeps of the truth, and the lookup of a query's ids in
-    the oracle's own compiled form of it is the one place a query is
+    the projection's id-to-bit map is the one place a query is
     validated. Ids are checked in the order sources, conditioning set,
     nonempty sources, targets.
 
@@ -344,7 +324,9 @@ class GraphicalOracle:
     nodes the oracle also counts each source set's searches, and at the
     ``_PROMOTE``-th builds the source's closure over every conditioning set
     (see ``_closure``): from then on each of that source's queries is a
-    few lookups and one shift, whatever its conditioning set. CA promotes
+    few lookups and one shift, whatever its conditioning set. The tables
+    the closures read (``_tables``) are built at the first promotion and
+    kept by the oracle; the graph itself never changes. CA promotes
     every source it screens from; a screen that asks each source fewer
     sets never does. A query answered from a kept result validates only
     what that result's search did not: its targets, its conditioning set,
@@ -365,14 +347,15 @@ class GraphicalOracle:
 
     def __init__(self, truth: DirectedMixedGraph, observed=None):
         self._graph = truth if observed is None else latent_projection(truth, observed)
-        self._form = _Compiled(self._graph)
         self._searches: dict = {}
-        # Only forms of at most _CLOSURE_NODES nodes get closures; on larger
-        # ones _closures is None and no step looks for one. _misses counts
-        # each source set's forward searches and _givens keeps the node mask
-        # of each conditioning set a closure has answered; neither has more
-        # than 2**_CLOSURE_NODES keys.
-        self._closures = {} if len(self._form.pa) <= _CLOSURE_NODES else None
+        # Only projections of at most _CLOSURE_NODES nodes get closures; on
+        # larger ones _closures is None and no step looks for one. _misses
+        # counts each source set's forward searches and _givens keeps the
+        # node mask of each conditioning set a closure has answered; neither
+        # has more than 2**_CLOSURE_NODES keys. _tables stays None until the
+        # first closure.
+        self._closures = {} if self._graph.n <= _CLOSURE_NODES else None
+        self._tables = None
         self._misses: dict = {}
         self._givens: dict = {}
         self._calls = 0
@@ -399,24 +382,27 @@ class GraphicalOracle:
         missed = misses[sources] = misses.get(sources, 0) + 1
         if missed < _PROMOTE:
             return None
-        form = self._form
-        top = 1 << (1 << len(form.pa))
+        g = self._graph
+        if self._tables is None:
+            self._tables = _tables(g)
+        top = 1 << (1 << g.n)
         return _keep(self._closures, sources,
-                     {v: h | top for v, h in zip(form.bit, _closure(form, a))})
+                     {v: h | top for v, h in zip(g.nodes, _closure(self._tables, a))})
 
     def query(self, sources, targets, given=()) -> bool:
         """True when ``targets`` is independent of ``sources`` given ``given``."""
         # Freeze what is read twice, so one-shot iterators work: sources and
         # given make the memo key and seed the search.
         sources, given = frozenset(sources), frozenset(given)
-        bit = self._form.bit
+        g = self._graph
+        bit = g._bit
         if given == targets:
             into = self._searches.get(given)
             if into is None:
-                a, c = _start(self._form, sources, given)
+                a, c = _start(g, sources, given)
                 if not c:
                     raise GraphError(_EMPTY_QUERY)
-                into = _keep(self._searches, given, _into(self._form, c, c))
+                into = _keep(self._searches, given, _into(g, c, c))
             else:
                 a = 0
                 try:
@@ -434,11 +420,11 @@ class GraphicalOracle:
             key = (sources, given)
             reach = self._searches.get(key)
             if reach is None:
-                a, c = _start(self._form, sources, given)
+                a, c = _start(g, sources, given)
                 if closures is not None:
                     closure = self._promote(sources, a)
                 if closure is None:
-                    reach = _keep(self._searches, key, _from(self._form, a, c))
+                    reach = _keep(self._searches, key, _from(g, a, c))
             if closure is None:
                 b = 0
                 try:

@@ -29,7 +29,7 @@ from typing import IO, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from causalscreen import DirectedMixedGraph, GraphError, ancestors
+from causalscreen import DirectedMixedGraph, GraphError
 from causalscreen.connectome import CONNECTOME_HEADER
 from causalscreen.experiments import CorpusConfig, random_dmg
 from causalscreen.hawkes import (
@@ -172,6 +172,26 @@ def _node_subset(g: DirectedMixedGraph, vs) -> frozenset:
     return vs
 
 
+def edge_ancestors(g: DirectedMixedGraph, of) -> frozenset:
+    """All nodes with a directed path into ``of``, read off the directed edge set.
+
+    ``graphs.ancestors`` reads the node masks that the search under test
+    also reads; the checkers here use this instead, so they share no
+    adjacency with it.
+    """
+    parents: dict = {}
+    for t, h in g.directed:
+        parents.setdefault(h, []).append(t)
+    seen = set(_node_subset(g, of))
+    frontier = list(seen)
+    while frontier:
+        for p in parents[frontier.pop()]:
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return frozenset(seen)
+
+
 def walk_is_mu_connecting(g: DirectedMixedGraph, walk, given=()) -> bool:
     """Check one explicit walk against the connecting-walk definition.
 
@@ -207,7 +227,7 @@ def walk_is_mu_connecting(g: DirectedMixedGraph, walk, given=()) -> bool:
         return False
     if steps[-1][3] != HEAD:
         return False
-    anc = ancestors(g, c)
+    anc = edge_ancestors(g, c)
     for prev, nxt in zip(steps, steps[1:]):
         node = prev[2]
         arrive, depart = prev[3], nxt[1]
@@ -233,7 +253,7 @@ def _bf_connecting_targets(g: DirectedMixedGraph, source: int,
     connecting walk ending there.
     """
     moves = move_table(g)
-    anc = ancestors(g, given)
+    anc = edge_ancestors(g, given)
     found = set()
 
     def rec(v, mark, used):
@@ -298,8 +318,8 @@ def directed_trek_exists(g: DirectedMixedGraph, src: int, dst: int) -> bool:
     dst = _check_node(g, dst)
     if src == dst:
         return False
-    anc_src = ancestors(g, {src})
-    anc_dst = ancestors(g, {dst})
+    anc_src = edge_ancestors(g, {src})
+    anc_dst = edge_ancestors(g, {dst})
     if src in anc_dst:
         return True  # a directed path src -> dst is itself a trek
     for s in sorted((anc_src & anc_dst) - {src, dst}):
@@ -383,7 +403,7 @@ def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) ->
     starts = a - c
     if not starts:
         return True
-    anc = ancestors(g, c)
+    anc = edge_ancestors(g, c)
     moves = move_table(g)
 
     seen = set()
@@ -565,11 +585,15 @@ def reference_thinning(model: HawkesModel, interventions: Sequence[Intervention]
         if total > max_events:
             raise SimulationError(f"event cap {max_events} exceeded; model exploding?")
 
+    stalled = False
     while True:
         lam_right = np.where(active, mu + (A * S).sum(axis=1), 0.0)
         lbar = float(lam_right.sum())
         if not lbar < math.inf:
             raise SimulationError(f"total intensity overflows at t = {t!r}; model exploding?")
+        # a sampled event at its node's own last event time ends the run here
+        if stalled:
+            raise SimulationError(f"event times stop advancing at t = {t!r}; model exploding?")
 
         # Draw order per candidate: candidate-time draw (none while the
         # envelope is zero, which leaves only forced events), then (if the
@@ -597,6 +621,7 @@ def reference_thinning(model: HawkesModel, interventions: Sequence[Intervention]
             cum = np.cumsum(lam)
             node = int(np.searchsorted(cum, u_node * ltot, side="right"))
             node = min(node, n - 1)
+            stalled = events[node][-1:] == [t_cand]
             record(node, t_cand)
 
     return EventHistory(tuple(tuple(row) for row in events), T)
@@ -695,7 +720,7 @@ def reference_degree_weights(g: DirectedMixedGraph, exponent: float = 1.0) -> di
     """Degree weights by walking every non-loop directed and bidirected edge.
 
     The count ``connectome.degree_weights`` made before it read the
-    adjacency maps; for a finite exponent whose weights stay finite both
+    graph's adjacency; for a finite exponent whose weights stay finite both
     return the same dict.
     """
     deg = {v: 0 for v in g.nodes}

@@ -1,4 +1,4 @@
-"""The bit-parallel separation search against the uncompiled reference search.
+"""The bit-parallel separation search against the reference search on edge sets.
 
 ``mu_separated`` runs it fresh; the oracle keeps its result, one reach mask
 per (sources, conditioning set), and answers later targets from it. The
@@ -37,7 +37,7 @@ from helpers import (
     sparse_dmg,
 )
 
-# Sorted, gapped ids: the compiled form renumbers them to 0..N-1.
+# Sorted, gapped ids: the node masks renumber them to 0..N-1.
 SPARSE_IDS = (3, 17, 1000, 1001, 40_000, 10**9)
 
 
@@ -48,13 +48,12 @@ def check_against_reference(g, data, max_given=6):
     b = data.draw(st.sets(nodes, min_size=1, max_size=4))
     c = data.draw(st.sets(nodes, max_size=max_given))
     meet = data.draw(st.sets(st.sampled_from(sorted(b)), min_size=1))
-    form = separation._Compiled(g)
     # empty C, a random C, C meeting B, and A inside C
     for cond in (set(), c, c | meet, c | a):
         assert mu_separated(g, a, b, cond) == reference_mu_separated(g, a, b, cond)
-        want = sum(form.bit[v] for v in g.nodes
+        want = sum(g._bit[v] for v in g.nodes
                    if not reference_mu_separated(g, a, {v}, cond))
-        assert separation._from(form, *separation._start(form, a, cond)) == want
+        assert separation._from(g, *separation._start(g, a, cond)) == want
 
 
 @given(sparse_dmg(), st.data())
@@ -81,14 +80,13 @@ def check_into_against_forward(g, data):
     C reaches B by a head arrival, for C = B (the trek test), a random C
     and C meeting B.
     """
-    form = separation._Compiled(g)
     nodes = st.sampled_from(g.nodes)
-    b = separation._mask(form.bit, data.draw(st.sets(nodes, min_size=1, max_size=3)))
-    c = separation._mask(form.bit, data.draw(st.sets(nodes, max_size=8)))
+    b = separation._mask(g._bit, data.draw(st.sets(nodes, min_size=1, max_size=3)))
+    c = separation._mask(g._bit, data.draw(st.sets(nodes, max_size=8)))
     for cond in (b, c, c | b):
-        want = sum(form.bit[v] for v in g.nodes
-                   if separation._from(form, form.bit[v], cond) & b)
-        assert separation._into(form, b, cond) == want
+        want = sum(g._bit[v] for v in g.nodes
+                   if separation._from(g, g._bit[v], cond) & b)
+        assert separation._into(g, b, cond) == want
 
 
 @given(sparse_dmg(max_n=20), st.data())
@@ -108,12 +106,11 @@ def test_target_side_closure_matches_forward_search_on_wide_masks(g, data):
 
 def check_closure_against_forward(g, a):
     """Bit c of each node's int from ``_closure`` against ``_from`` given c, for every c."""
-    form = separation._Compiled(g)
-    heads = separation._closure(form, a)
+    heads = separation._closure(separation._tables(g), a)
     assert len(heads) == g.n
     for c in range(1 << g.n):
         reached = sum((h >> c & 1) << v for v, h in enumerate(heads))
-        assert reached == separation._from(form, a, c), c
+        assert reached == separation._from(g, a, c), c
 
 
 @given(sparse_dmg(max_n=14), st.data())

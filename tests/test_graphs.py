@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from causalscreen import (
@@ -20,10 +20,12 @@ from conftest import DEMO_OBS
 from helpers import (
     descendant_closure,
     directed_trek_exists,
+    edge_ancestors,
     enumerate_trek_into,
     graph_strategy,
     random_corpus,
     random_observed,
+    sparse_dmg,
 )
 
 
@@ -89,18 +91,29 @@ class TestConstruction:
         assert g.siblings(0) == frozenset({2})
         assert g.siblings(1) == frozenset()
 
-    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                 .filter(lambda e: e[0] != e[1]), max_size=n))))
-    @settings(max_examples=150)
+    # A node count with edges over 0..n-1, and the nodes and edges of
+    # sparse_dmg graphs: gapped ids up to 10**9, and 65 to 110 nodes, whose
+    # masks are wider than a machine word. No shrink phase: shrinking a
+    # failure on the wide graphs takes minutes, and a fault in the masks
+    # fails the small inputs too.
+    @given(st.one_of(
+        st.integers(1, 12).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                     .filter(lambda e: e[0] != e[1]), max_size=n))),
+        *(strategy.map(lambda g: (g.nodes, sorted(g.directed), sorted(g.bidirected)))
+          for strategy in (sparse_dmg(), sparse_dmg(min_n=65, max_n=110, min_degree=1)))))
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow,
+                                                        HealthCheck.data_too_large],
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_adjacency_maps_match_edge_sets(self, drawn):
-        n, directed, bidirected = drawn
+        nodes, directed, bidirected = drawn
+        ids = range(nodes) if isinstance(nodes, int) else nodes
         # lists and numpy ints as edge ends: the constructor normalises both
-        g = DirectedMixedGraph(n, [list(e) for e in directed],
+        g = DirectedMixedGraph(nodes, [list(e) for e in directed],
                                [tuple(map(np.int64, e)) for e in bidirected])
-        assert g.directed == set(directed) | {(v, v) for v in range(n)}
+        assert g.directed == set(directed) | {(v, v) for v in ids}
         assert g.bidirected == {(min(e), max(e)) for e in bidirected}
         for v in g.nodes:
             assert g.children(v) == {h for t, h in g.directed if t == v}
@@ -167,6 +180,16 @@ class TestAncestors:
             got = ancestors(g, {c})
             want = frozenset(v for v in g.nodes if c in descendant_closure(g, v))
             assert got == want
+
+    @given(st.one_of(sparse_dmg(), sparse_dmg(min_n=65, max_n=110, min_degree=1)), st.data())
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow,
+                                                       HealthCheck.data_too_large],
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_matches_the_checkers_edge_set_route(self, g, data):
+        """Gapped ids up to 10**9, and masks wider than a machine word (no
+        shrink phase, as for the adjacency test)."""
+        of = data.draw(st.sets(st.sampled_from(g.nodes), max_size=4))
+        assert ancestors(g, of) == edge_ancestors(g, of)
 
 
 class TestParentGraphAndProjection:

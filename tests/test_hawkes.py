@@ -29,7 +29,7 @@ from causalscreen import (
     stationarity_check,
     stationary_rates,
 )
-from causalscreen.hawkes import _UNIFORM_BLOCK, _thinning
+from causalscreen.hawkes import EVENT_CAP_DEFAULT, _UNIFORM_BLOCK, _thinning
 from helpers import reference_compensator, reference_thinning
 
 K = ExponentialKernel
@@ -355,6 +355,28 @@ class TestSimulate:
         assert str(info.value) == f"total intensity overflows at t = {at}; model exploding?"
         with np.errstate(over="ignore"):
             want = _thinning_outcome(reference_thinning, model, (), 0, False, 10_000)
+        assert want == ("SimulationError", str(info.value))
+
+    def test_events_at_one_float_time_are_an_error(self):
+        """A finite envelope so large that waiting times round to zero.
+
+        Node 0's first event lifts node 1's intensity to about 1e308, and
+        node 1 excites nothing, so the envelope stays finite while node 1
+        fires again and again at that event's float time. The run ends at
+        node 1's second event there, not at the default event cap, which
+        this model takes minutes to reach.
+        """
+        zero = K(0.0, 1.0)
+        model = HawkesModel((1.0, 0.0), ((zero, zero), (K(1e308, 1.5e308), zero)), 5.0)
+        assert stationarity_check(model)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError) as info:
+                simulate(model, 0, max_events=EVENT_CAP_DEFAULT)
+            want = _thinning_outcome(reference_thinning, model, (), 0, False,
+                                     EVENT_CAP_DEFAULT)
+        assert str(info.value) == ("event times stop advancing at t = 1.013246905717726; "
+                                   "model exploding?")
         assert want == ("SimulationError", str(info.value))
 
     @pytest.mark.parametrize("cap", [-1, 2.5, True, "3", None, np.float64(3.0)])

@@ -12,6 +12,7 @@ from causalscreen import (
     ancestry_propagation_cheap,
     canonical_dg,
     excess_edges,
+    latent_projection,
     parent_graph,
     parent_step,
     run,
@@ -27,6 +28,7 @@ from helpers import (
     powerset,
     random_corpus,
     random_observed,
+    sparse_dmg,
     walk_is_mu_connecting,
 )
 
@@ -319,6 +321,25 @@ class TestComposedRuns:
             res = run(algo, GraphicalOracle(g, obs))
             assert (d, d.labels()) == (res.graph, res.graph.labels())
             assert oracle.calls == res.oracle_calls
+
+    @given(sparse_dmg(min_n=3, max_n=9), st.data())
+    @settings(max_examples=60)
+    def test_pair_order_changes_neither_graph_nor_calls(self, truth, data):
+        """Every algorithm, on the projection of a truth with up to n - 2
+        hidden nodes, learns the same graph with the same number of queries
+        in lex order and in random order under two seeds. Certificates may
+        differ: a parent-stage set is pa(b) without a, read as the pairs
+        before it left it."""
+        hidden = data.draw(st.sets(st.sampled_from(truth.nodes), max_size=truth.n - 2))
+        projection = latent_projection(truth, [v for v in truth.nodes if v not in hidden])
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2,
+                                   unique=True))
+        for algo in Algorithm:
+            lex = run(algo, GraphicalOracle(projection))
+            for seed in seeds:
+                shuffled = run(algo, GraphicalOracle(projection), order="random", seed=seed)
+                assert shuffled.graph == lex.graph, (algo, seed)
+                assert shuffled.oracle_calls == lex.oracle_calls, (algo, seed)
 
     def test_trace_covers_every_pair_decision(self, demo_graph):
         res = run("cs", oracle_for(demo_graph))

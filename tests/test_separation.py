@@ -232,12 +232,18 @@ class TestOracle:
             assert len(oracle._searches) <= 3
         assert oracle.calls == len(queries)
 
-    def test_oracles_on_one_projection_own_their_compiled_forms(self, demo_graph):
+    def test_oracles_on_one_projection_own_their_closure_tables(self, demo_graph,
+                                                               monkeypatch):
+        """Two oracles share the projection, which never changes; the
+        tables a closure reads belong to the oracle that built them."""
+        monkeypatch.setattr(separation, "_PROMOTE", 1)
         proj = latent_projection(demo_graph, (0, 3, 4))
         first, second = GraphicalOracle(proj), GraphicalOracle(proj)
         assert first._graph is second._graph is proj
-        assert first._form is not second._form
-        assert first.query({0}, {4}, {3}) == second.query({0}, {4}, {3})
+        assert first.query({0}, {4}, {3}) == mu_separated(proj, {0}, {4}, {3})
+        assert first._tables is not None and second._tables is None
+        assert second.query({0}, {4}, {3}) == first.query({0}, {4}, {3})
+        assert second._tables == first._tables and second._tables is not first._tables
 
     def test_label_passthrough(self, demo_graph):
         oracle = GraphicalOracle(demo_graph, observed=(0, 3, 4))
