@@ -20,11 +20,14 @@ seeds give identical histories on any platform.
 The sampler keeps its excitation state only on the kernel support (the
 nonzero amplitudes): each step decays and multiplies those entries alone.
 The support is ordered by source node, so an event adds 1.0 to one
-contiguous slice. The intensity is still the sum of dense rows, taken over
-a buffer that holds the products at their row-major places and 0.0
-elsewhere. That dense row sum adds the same floats in the same order as
-``(A * S).sum(axis=1)`` over the full n x n state, so every event time is
-the one, to the byte, that a sampler keeping the full state would draw.
+contiguous slice. The intensity is still a sum over dense rows, taken
+with one ``np.add.reduceat`` over an n x (n + 1) buffer: row b holds mu_b
+in column 0, then the products at their places and 0.0 elsewhere.
+``reduceat`` copies a row's first entry and adds numpy's pairwise sum of
+the rest, so it adds the same floats in the same order as
+``mu + (A * S).sum(axis=1)`` over the full n x n state, and every event
+time is the one, to the byte, that a sampler keeping the full state would
+draw.
 Uniforms are drawn from the stream in blocks, which hold the values of as
 many scalar draws.
 
@@ -286,6 +289,11 @@ class EventHistory:
                 continue
             try:
                 node_s, time_s = line.split(",")
+                node_s = node_s.strip()
+                # ASCII decimal only: int() also reads signs, underscores
+                # and other scripts' digits
+                if not (node_s.isascii() and node_s.isdigit()):
+                    raise ValueError(f"node {node_s!r} is not an index")
                 node = int(node_s)
                 if not 0 <= node < n:
                     raise ValueError(f"node {node} not in [0, {n})")
@@ -341,6 +349,7 @@ def causal_graph(model: HawkesModel) -> DirectedMixedGraph:
 def intensity(model: HawkesModel, history: EventHistory, t: float) -> np.ndarray:
     """Intensity vector at time t, using only events strictly before t."""
     _same_nodes(model, history)
+    t = _number(t, "time")
     if not (0.0 <= t <= model.horizon):
         raise ValueError(f"time {t} outside [0, {model.horizon}]")
     A, B = model.matrices()
@@ -380,7 +389,6 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     n = model.n
     T = model.horizon
     A, B = model.matrices()
-    mu = np.array(model.mu, dtype=float)
 
     active = np.ones(n, dtype=bool)
     forced: list = []
@@ -410,10 +418,13 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     draw = chain.from_iterable(
         map(np.ndarray.tolist, map(rng.random, repeat(_UNIFORM_BLOCK)))).__next__
 
-    # An intervened node's intensity is zero: its baseline is zeroed and its
-    # row leaves the kernel support, so its dense row sums to +0.0. Its
-    # column stays, so its forced events still excite the network.
-    mu[~active] = 0.0
+    # Column 0 of the padded n x (n + 1) buffer holds the baselines. An
+    # intervened node's intensity is zero: its baseline is zeroed and its
+    # row leaves the kernel support, so its row sums to +0.0. Its column
+    # stays, so its forced events still excite the network.
+    padded = np.zeros((n, n + 1))
+    padded[:, 0] = model.mu
+    padded[~active, 0] = 0.0
     A[~active] = 0.0
     # The excitation state is kept only on the kernel support: s[k] carries
     # sum(exp(-B[b,a] * (t - s))) over all events s <= t of node a, where
@@ -421,23 +432,23 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     # b; decayed lazily when t advances. Off the support A * S is zero
     # whatever S holds. An event of node a adds 1.0 to a's slice of s.
     sources, targets = np.divmod(np.flatnonzero(A.T), n)
-    support = targets * n + sources
-    a_nz = A.ravel()[support]
-    neg_b = -B.ravel()[support]
-    s = np.zeros(support.size)
+    a_nz = A[targets, sources]
+    neg_b = -B[targets, sources]
+    s = np.zeros(sources.size)
     bounds = sources.searchsorted(np.arange(n + 1)).tolist()
     by_source = [s[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    buf = np.empty(support.size)
-    # A * S is scattered to its row-major places in a dense buffer whose
-    # other entries stay 0.0, and the intensity sums its dense rows: the
-    # same floats added in the same order as (A * S).sum(axis=1), so every
-    # event keeps its bytes.
-    AS = np.zeros((n, n))
-    AS_flat = AS.reshape(-1)
-    rowsum = np.empty(n)
+    buf = np.empty_like(s)
+    # Row b of the padded buffer holds A[b, a] * S[b, a] in column 1 + a,
+    # 0.0 off the support. reduceat copies a row's first entry and adds
+    # numpy's pairwise sum of the rest, so lam[b] is mu[b] + (A * S)[b].sum():
+    # the same floats added in the same order, and every event keeps its bytes.
+    padded_flat = padded.reshape(-1)
+    slots = targets * (n + 1) + 1 + sources
+    row_starts = np.arange(0, n * (n + 1), n + 1)
     lam = np.empty(n)
     cum = np.empty(n)
-    multiply, exp, add, add_reduce = np.multiply, np.exp, np.add, np.add.reduce
+    multiply, exp, add = np.multiply, np.exp, np.add
+    add_reduce, add_reduceat = add.reduce, add.reduceat
     log1p, inf = math.log1p, math.inf
     events: list = [[] for _ in range(n)]
     appends = [row.append for row in events]
@@ -447,9 +458,8 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     def total_intensity() -> float:
         """Fill ``lam`` with the intensity just after t; return its sum."""
         multiply(a_nz, s, out=buf)
-        AS_flat[support] = buf
-        add_reduce(AS, axis=1, out=rowsum)
-        add(mu, rowsum, out=lam)
+        padded_flat[slots] = buf
+        add_reduceat(padded_flat, row_starts, out=lam)
         return float(add_reduce(lam))
 
     # The run stops at each forced event in time order, then at the end of

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from causalscreen import (
@@ -234,6 +234,18 @@ class TestEventHistory:
         with pytest.raises(ValueError, match="bad event row at line 3"):
             EventHistory.from_csv(io.StringIO(text), n=2, horizon=5.0)
 
+    # int() reads each of these as a node: Arabic-Indic one, 10, 1 and 0
+    @pytest.mark.parametrize("row", ["\u0661,1.0", "1_0,1.0", "+1,2.0", "-0,1.0"])
+    def test_csv_node_ids_are_ascii_decimal(self, row):
+        with pytest.raises(ValueError) as info:
+            EventHistory.from_csv(io.StringIO(f"node,time\n{row}\n"), n=11, horizon=5.0)
+        assert str(info.value) == f"bad event row at line 2: {row!r}"
+
+    def test_csv_node_field_is_stripped(self):
+        h = EventHistory.from_csv(io.StringIO("node,time\n 1 ,2.0\n0\t,1.0\n"),
+                                  n=2, horizon=5.0)
+        assert h.times == ((1.0,), (2.0,))
+
 
 class TestIntensity:
     def test_baseline_without_events(self):
@@ -257,6 +269,17 @@ class TestIntensity:
         m = two_node_model()
         with pytest.raises(ValueError):
             intensity(m, EventHistory(((), ()), 10.0), 11.0)
+
+    @pytest.mark.parametrize("t", ["1", None, True, b"1.5", np.True_], ids=repr)
+    def test_time_must_be_a_number(self, t):
+        with pytest.raises(ValueError) as info:
+            intensity(two_node_model(), EventHistory(((1.0,), ()), 10.0), t)
+        assert str(info.value) == f"time must be a number, got {t!r}"
+
+    def test_numpy_and_int_times_pass(self):
+        m, h = two_node_model(), EventHistory(((1.0,), ()), 10.0)
+        for t in (2, np.int64(2), np.float64(2.0)):
+            assert intensity(m, h, t).tolist() == intensity(m, h, 2.0).tolist()
 
     @pytest.mark.parametrize("times", [((1.0,),), ((), (), (2.0,))])
     def test_history_and_model_must_agree_on_node_count(self, times):
@@ -680,6 +703,33 @@ def sparse_model_12():
     return HawkesModel(mu, kernels, 50.0)
 
 
+@st.composite
+def wide_thinning_cases(draw):
+    """Sparse models of 40-140 nodes, built from a drawn seed, under an event cap.
+
+    About half the models have more than 128 nodes, so their rows reach the
+    recursive split of numpy's pairwise summation, which rows of at most 128
+    entries never reach. Branching-matrix row sums stay below 0.85, and some
+    runs intervene on one or two nodes.
+    """
+    n = draw(st.integers(40, 128) | st.integers(129, 140))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    density = draw(st.sampled_from((0.02, 0.1, 0.3)))
+    R = np.where(rng.random((n, n)) < density, rng.uniform(0.05, 1.0, (n, n)), 0.0)
+    R /= np.maximum(1.0, R.sum(axis=1) / 0.85)[:, None]
+    decay = rng.uniform(0.5, 4.0, (n, n))
+    mu = rng.choice((0.0, -0.0, 0.5, 2.0), size=n, p=(0.1, 0.1, 0.4, 0.4)).tolist()
+    kernels = tuple(tuple(K(float(r * b), float(b)) for r, b in zip(*rows))
+                    for rows in zip(R, decay))
+    horizon = draw(st.floats(0.5, 3.0))
+    interventions = tuple(
+        Intervention(node, tuple(sorted(set(draw(st.lists(st.floats(0.0, horizon),
+                                                           max_size=5))))))
+        for node in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2)))
+    return (HawkesModel(tuple(mu), kernels, horizon), interventions,
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), draw(st.integers(250, 350)))
+
+
 class TestPackedThinning:
     """The thinning loop keeps its state on the kernel support only; it must
     give the bytes and errors of the dense loop it replaced."""
@@ -688,6 +738,35 @@ class TestPackedThinning:
     @given(thinning_cases())
     def test_matches_dense_reference(self, case):
         assert _thinning_outcome(_thinning, *case) == _thinning_outcome(reference_thinning, *case)
+
+    @settings(max_examples=12, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(wide_thinning_cases())
+    def test_wide_models_match_dense_reference(self, case):
+        assert _thinning_outcome(_thinning, *case) == _thinning_outcome(reference_thinning, *case)
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 50, 129, 140])
+    def test_padded_reduceat_sums_like_dense_rows(self, n):
+        """The loop takes the intensity as one ``np.add.reduceat`` over rows
+        [mu[b], (A * S)[b, 0], ..., (A * S)[b, n - 1]]. numpy copies a
+        segment's first entry and adds the pairwise sum of the rest, which
+        is ``mu + (A * S).sum(axis=1)`` to the bit; if a numpy release sums
+        segments in another order, this fails before any event digest."""
+        rng = np.random.Generator(np.random.PCG64(n))
+        starts = np.arange(0, n * (n + 1), n + 1)
+        for _ in range(25):
+            A = np.where(rng.random((n, n)) < 0.3, rng.uniform(0.01, 3.0, (n, n)), 0.0)
+            A[rng.random(n) < 0.2] = 0.0
+            S = rng.lognormal(0.0, 3.0, (n, n))
+            mu = rng.choice((0.0, -0.0, 0.3, 1.7), size=n) * rng.uniform(1.0, 2.0, n)
+            padded = np.zeros((n, n + 1))
+            padded[:, 0] = mu
+            padded[:, 1:] = A * S
+            lam = np.add.reduceat(padded.reshape(-1), starts)
+            dense = mu + (A * S).sum(axis=1)
+            assert lam.tobytes() == dense.tobytes(), (
+                f"numpy {np.__version__} no longer sums a reduceat row as "
+                "mu + (A * S).sum(axis=1); simulated event times would move")
+            assert np.add.reduce(lam).tobytes() == dense.sum().tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
     def test_uniform_blocks_equal_scalar_draws(self, seed):
