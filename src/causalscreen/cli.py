@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .graphs import DirectedMixedGraph, GraphError
 from .hawkes import (EVENT_CAP_DEFAULT, HawkesModel, Intervention, SimulationError,
-                     simulate_intervened)
+                     _text_float, simulate_intervened)
 from .screening import Algorithm, run
 from .separation import GraphicalOracle, mu_separated
 
@@ -138,7 +138,7 @@ def _parse_intervention(raw: str) -> Intervention:
         raise ValueError(f"intervention target must be a node index: {raw!r}")
     node = int(node_s)
     try:
-        times = tuple(float(t) for t in times_s.split(",") if t.strip()) if times_s else ()
+        times = tuple(_text_float(t) for t in times_s.split(",") if t.strip()) if times_s else ()
     except ValueError:
         raise ValueError(f"intervention times must be numbers: {raw!r}") from None
     return Intervention(node, times)

@@ -113,14 +113,16 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
     chem: set = set()
     gap: set = set()
     names: set = set()
+    add_chem, add_gap, add_name = chem.add, gap.add, names.add
     for lineno, raw in enumerate(fh, start=2):
-        fields = raw.split(",")
-        if len(fields) != 4:
+        try:
+            pre, post, count_s, kind = raw.split(",")
+        except ValueError:
             line = raw.strip()
             if not line:
                 continue
-            raise GraphError(f"line {lineno}: expected 4 fields, got {len(fields)}: {line!r}")
-        pre, post, count_s, kind = fields
+            raise GraphError(f"line {lineno}: expected 4 fields, "
+                             f"got {raw.count(',') + 1}: {line!r}") from None
         pre, post, count_s, kind = pre.strip(), post.strip(), count_s.strip(), kind.strip()
         if not pre or not post:
             raise GraphError(f"line {lineno}: empty node name: {raw.strip()!r}")
@@ -132,24 +134,35 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
             raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
         if kind == "chem":
             if count > threshold:
-                chem.add((pre, post))
+                add_chem((pre, post))
                 continue
         elif kind == "gap":
             if pre != post:
-                gap.add((pre, post) if pre < post else (post, pre))
+                add_gap((pre, post) if pre < post else (post, pre))
                 continue
         else:
             raise GraphError(f"line {lineno}: type must be chem or gap, got {kind!r}")
-        names.add(pre)
-        names.add(post)
+        add_name(pre)
+        add_name(post)
     names.update(*chem, *gap)
     if not names:
         raise GraphError("connectome file has no records")
     labels = sorted(names)
+    # masks in label order; a pair ORs in its bits whatever order the sets
+    # iterate in, so the graph does not depend on hashing
+    bit = {name: 1 << i for i, name in enumerate(labels)}
     index = {name: i for i, name in enumerate(labels)}
-    directed = [(index[a], index[b]) for a, b in chem]
-    bidirected = [(index[a], index[b]) for a, b in sorted(gap)]
-    return DirectedMixedGraph(len(labels), directed, bidirected, labels=labels)
+    pa = list(bit.values())     # the loops
+    ch = list(pa)
+    sib = [0] * len(labels)
+    for a, b in chem:
+        pa[index[b]] |= bit[a]
+        ch[index[a]] |= bit[b]
+    for a, b in gap:
+        sib[index[a]] |= bit[b]
+        sib[index[b]] |= bit[a]
+    return DirectedMixedGraph._of_masks(tuple(range(len(labels))), labels,
+                                        tuple(pa), tuple(ch), tuple(sib))
 
 
 def degree_weights(g: DirectedMixedGraph, exponent: float = 1.0) -> dict:
@@ -232,7 +245,7 @@ def run_connectome(fh: IO[str], spec: ConnectomeSpec, algorithm, seed: int, *,
     return ConnectomeResult(
         algorithm=algorithm.value,
         observed=tuple(truth_dmg.label(v) for v in sample),
-        true_edges=len(truth_parent.nonloop_directed),
+        true_edges=truth_parent._directed_count(),
         excess=excess_edges(result.graph, truth_parent),
         calls=result.oracle_calls,
         spearman_in=_safe_spearman(true_in, learned_in),

@@ -15,11 +15,14 @@ truncated.
 Labels are display metadata only and do not participate in equality.
 Graphs are immutable and safe to share.
 
-The constructor stores the edges in two forms: the edge sets, which
-equality, hashing and the exporters read, and the node masks every
-algorithm reads. Node ``i`` in sorted id order is the bit ``1 << i``, and
-each node has an int mask of its parents, children and siblings; the loop
-``v -> v`` puts ``v`` in its own parents and children.
+A graph stores its edges in one form, the node masks. Node ``i`` in
+sorted id order is the bit ``1 << i``, and each node has an int mask of
+its parents, children and siblings; the loop ``v -> v`` puts ``v`` in its
+own parents and children. Every algorithm, equality and hashing read the
+masks. The edge sets (``directed``, ``bidirected``) are decoded from them
+on each read, for the exporters and for callers that want pairs. Builders
+inside the package that already hold masks (ingest, projection) hand them
+to the graph directly instead of writing edge tuples out.
 """
 
 from __future__ import annotations
@@ -101,8 +104,7 @@ class DirectedMixedGraph:
     [0, 1]
     """
 
-    __slots__ = ("_nodes", "_node_set", "_labels", "_directed", "_bidirected",
-                 "_bit", "_pa", "_ch", "_sib")
+    __slots__ = ("_nodes", "_node_set", "_labels", "_bit", "_pa", "_ch", "_sib")
 
     def __init__(self, nodes, directed=(), bidirected=(), labels=None):
         if isinstance(nodes, Iterable):
@@ -114,10 +116,9 @@ class DirectedMixedGraph:
             ids = tuple(range(count))
         if ids and ids[0] < 0:
             raise GraphError("node ids must be nonnegative")
-        node_set = frozenset(ids)
 
         if labels is None:
-            label_map = {v: str(v) for v in ids}
+            labels = list(map(str, ids))
         else:
             if isinstance(labels, Mapping):
                 missing = [v for v in ids if v not in labels]
@@ -130,7 +131,6 @@ class DirectedMixedGraph:
                     f"expected {len(ids)} labels, got {len(labels)}")
             if len(set(labels)) != len(labels):
                 raise GraphError("labels must be unique")
-            label_map = dict(zip(ids, labels))
 
         # The masks grow as the edges validate, keyed by id in sorted order;
         # duplicate edges OR in the same bit again.
@@ -138,38 +138,45 @@ class DirectedMixedGraph:
         pa = dict(bit)      # the loop v -> v
         ch = dict(bit)
         sib = dict.fromkeys(ids, 0)
-        dir_edges = []
         for t, h in directed:
             t, h = _node_id(t), _node_id(h)
-            if t not in node_set or h not in node_set:
+            if t not in bit or h not in bit:
                 raise GraphError(f"directed edge {(t, h)} mentions unknown node")
-            dir_edges.append((t, h))
             pa[h] |= bit[t]
             ch[t] |= bit[h]
-        dir_edges.extend(zip(ids, ids))
-        dir_edges = frozenset(dir_edges)
-
-        bi_edges = []
         for a, b in bidirected:
             a, b = _node_id(a), _node_id(b)
-            if a not in node_set or b not in node_set:
+            if a not in bit or b not in bit:
                 raise GraphError(f"bidirected edge {(a, b)} mentions unknown node")
             if a == b:
                 raise GraphError(f"bidirected self-edge at node {a}")
-            bi_edges.append((a, b) if a < b else (b, a))
             sib[a] |= bit[b]
             sib[b] |= bit[a]
-        bi_edges = frozenset(bi_edges)
+        self._store(ids, labels, tuple(pa.values()), tuple(ch.values()), tuple(sib.values()))
 
+    @classmethod
+    def _of_masks(cls, ids: tuple, labels, pa: tuple, ch: tuple,
+                  sib: tuple) -> "DirectedMixedGraph":
+        """A graph from masks a builder already holds; nothing is checked.
+
+        ``ids`` are sorted nonnegative ints, ``labels`` unique strings
+        aligned with them, and ``pa``, ``ch``, ``sib`` the masks the
+        constructor would build: loops in ``pa`` and ``ch``, ``ch`` the
+        transpose of ``pa``, ``sib`` symmetric with no loops.
+        """
+        g = object.__new__(cls)
+        g._store(ids, labels, pa, ch, sib)
+        return g
+
+    def _store(self, ids, labels, pa, ch, sib) -> None:
+        """The one place a graph's slots are set."""
         self._nodes = ids
-        self._node_set = node_set
-        self._labels = label_map
-        self._directed = dir_edges
-        self._bidirected = bi_edges
-        self._bit = bit
-        self._pa = tuple(pa.values())
-        self._ch = tuple(ch.values())
-        self._sib = tuple(sib.values())
+        self._node_set = frozenset(ids)
+        self._labels = dict(zip(ids, labels))
+        self._bit = {v: 1 << i for i, v in enumerate(ids)}
+        self._pa = pa
+        self._ch = ch
+        self._sib = sib
 
     # -- basic access ------------------------------------------------------
 
@@ -187,17 +194,30 @@ class DirectedMixedGraph:
 
     @property
     def directed(self) -> frozenset:
-        """All directed edges, self-loops included."""
-        return self._directed
+        """All directed edges, self-loops included, decoded from the masks."""
+        ids = self._nodes
+        return frozenset((ids[i], h) for h, pa in zip(ids, self._pa) for i in _indices(pa))
 
     @property
     def bidirected(self) -> frozenset:
-        """Bidirected edges as (min, max) pairs."""
-        return self._bidirected
+        """Bidirected edges as (min, max) pairs, decoded from the masks."""
+        ids = self._nodes
+        return frozenset((a, ids[j]) for i, (a, sib) in enumerate(zip(ids, self._sib))
+                         for j in _indices(sib >> i << i))
 
     @property
     def nonloop_directed(self) -> frozenset:
-        return frozenset(e for e in self._directed if e[0] != e[1])
+        ids = self._nodes
+        return frozenset((ids[i], h) for j, (h, pa) in enumerate(zip(ids, self._pa))
+                         for i in _indices(pa ^ 1 << j))
+
+    def _directed_count(self) -> int:
+        """The number of non-loop directed edges, by popcount."""
+        return sum(pa.bit_count() for pa in self._pa) - len(self._pa)
+
+    def _bidirected_count(self) -> int:
+        """The number of bidirected edges, by popcount."""
+        return sum(sib.bit_count() for sib in self._sib) // 2
 
     def _check_node(self, v: int) -> int:
         if v not in self._node_set:
@@ -208,25 +228,26 @@ class DirectedMixedGraph:
         """The ids of the nodes whose bits are set in ``mask``."""
         return frozenset(map(self._nodes.__getitem__, _indices(mask)))
 
-    def _adjacent(self, masks: tuple, v: int) -> frozenset:
-        return self._ids(masks[self._bit[self._check_node(v)].bit_length() - 1])
+    def _row(self, masks: tuple, v: int) -> int:
+        """Node ``v``'s entry of ``masks``."""
+        return masks[self._bit[self._check_node(v)].bit_length() - 1]
 
     def children(self, v: int) -> frozenset:
-        return self._adjacent(self._ch, v)
+        return self._ids(self._row(self._ch, v))
 
     def parents(self, v: int) -> frozenset:
-        return self._adjacent(self._pa, v)
+        return self._ids(self._row(self._pa, v))
 
     def siblings(self, v: int) -> frozenset:
-        return self._adjacent(self._sib, v)
+        return self._ids(self._row(self._sib, v))
 
     def has_directed(self, tail: int, head: int) -> bool:
-        return (self._check_node(tail), self._check_node(head)) in self._directed
+        t = self._bit[self._check_node(tail)]
+        return bool(self._row(self._pa, head) & t)
 
     def has_bidirected(self, a: int, b: int) -> bool:
-        self._check_node(a)
-        self._check_node(b)
-        return (min(a, b), max(a, b)) in self._bidirected
+        s = self._row(self._sib, a)
+        return bool(s & self._bit[self._check_node(b)])
 
     def label(self, v: int) -> str:
         return self._labels[self._check_node(v)]
@@ -239,17 +260,18 @@ class DirectedMixedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedMixedGraph):
             return NotImplemented
-        return (self._node_set == other._node_set
-                and self._directed == other._directed
-                and self._bidirected == other._bidirected)
+        # equal id tuples give every node the same bit, so equal masks are equal edges
+        return (self._nodes == other._nodes
+                and self._pa == other._pa
+                and self._sib == other._sib)
 
     def __hash__(self) -> int:
-        return hash((self._node_set, self._directed, self._bidirected))
+        return hash((self._nodes, self._pa, self._sib))
 
     def __repr__(self) -> str:
         return (f"DirectedMixedGraph(n={self.n}, "
-                f"directed={len(self.nonloop_directed)}, "
-                f"bidirected={len(self._bidirected)})")
+                f"directed={self._directed_count()}, "
+                f"bidirected={self._bidirected_count()})")
 
     # -- serialization -----------------------------------------------------
 
@@ -264,7 +286,7 @@ class DirectedMixedGraph:
         return {
             "nodes": list(self.labels()),
             "directed": sorted([pos[t], pos[h]] for t, h in self.nonloop_directed),
-            "bidirected": sorted([pos[a], pos[b]] for a, b in self._bidirected),
+            "bidirected": sorted([pos[a], pos[b]] for a, b in self.bidirected),
         }
 
     def to_json(self, fh: Optional[TextIO] = None) -> str:
@@ -324,7 +346,7 @@ class DirectedMixedGraph:
             lines.append(f'  "{self._labels[v]}";')
         for t, h in sorted(self.nonloop_directed):
             lines.append(f'  "{self._labels[t]}" -> "{self._labels[h]}";')
-        for a, b in sorted(self._bidirected):
+        for a, b in sorted(self.bidirected):
             lines.append(f'  "{self._labels[a]}" -> "{self._labels[b]}" [dir=both];')
         lines.append("}")
         text = "\n".join(lines) + "\n"
@@ -365,9 +387,19 @@ def ancestors(g: DirectedMixedGraph, of: Iterable[int]) -> frozenset:
     return g._ids(seen)
 
 
+def _transpose(masks) -> tuple:
+    """Bit ``j`` of entry ``i`` is bit ``i`` of entry ``j``: children from parents."""
+    out = [0] * len(masks)
+    for j, mask in enumerate(masks):
+        b = 1 << j
+        for i in _indices(mask):
+            out[i] |= b
+    return tuple(out)
+
+
 def directed_part(g: DirectedMixedGraph) -> DirectedMixedGraph:
     """The same graph with every bidirected edge dropped."""
-    return DirectedMixedGraph(g.nodes, g.directed, (), labels=g.labels())
+    return DirectedMixedGraph._of_masks(g.nodes, g.labels(), g._pa, g._ch, (0,) * g.n)
 
 
 def parent_graph(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixedGraph:
@@ -426,18 +458,22 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
     is one int, and each layer of the search ORs up the parent masks of
     its nodes, which gives the next layer (its hidden nodes not yet in
     R(o)) and the parents of R(o), and their sibling masks, which give the
-    nodes that a bidirected edge joins to R(o).
+    nodes that a bidirected edge joins to R(o). The result's masks are
+    built from these ints directly, renumbered to the observed nodes; no
+    edge list is written out.
     """
     obs = _check_subset(g, observed)
     if obs == g.node_set:
         return g
     bit, pa, sib = g._bit, g._pa, g._sib
-    ids = g.nodes
-    order = sorted(obs)
+    # the projection's ids, ints as the constructor makes them
+    order = tuple(sorted(map(_node_id, obs)))
     obs_mask = sum(map(bit.__getitem__, order))
+    # old bit -> the projection's bit, for masks over the observed nodes
+    new_bit = {bit[o]: 1 << k for k, o in enumerate(order)}
     reach = []
     touches = []
-    directed = []
+    parent_masks = []
     for o in order:
         r = layer = bit[o]
         parents = touch = 0
@@ -453,16 +489,25 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
             layer = up & ~(obs_mask | r)
             r |= layer
         parents &= obs_mask
+        p = 0
         while parents:
             low = parents & -parents
             parents ^= low
-            directed.append((ids[low.bit_length() - 1], o))
+            p |= new_bit[low]
+        parent_masks.append(p)
         reach.append(r)
         # nodes of R(o) and their siblings: R(b) meeting this set gives o <-> b
         touches.append(touch | r)
-    bidirected = [(a, b) for i, a in enumerate(order)
-                  for b, rb in zip(order[i + 1:], reach[i + 1:]) if touches[i] & rb]
-    return DirectedMixedGraph(obs, directed, bidirected, labels=g._labels)
+    sibling_masks = [0] * len(order)
+    for i, t in enumerate(touches):
+        for j in range(i + 1, len(order)):
+            if t & reach[j]:
+                sibling_masks[i] |= 1 << j
+                sibling_masks[j] |= 1 << i
+    parent_masks = tuple(parent_masks)
+    return DirectedMixedGraph._of_masks(
+        order, [g._labels[v] for v in order], parent_masks,
+        _transpose(parent_masks), tuple(sibling_masks))
 
 
 def canonical_dg(g: DirectedMixedGraph) -> tuple[DirectedMixedGraph, frozenset]:

@@ -127,6 +127,15 @@ def _floats(values, where: str) -> tuple:
         raise ValueError(f"{where} is too large for a float") from None
 
 
+def _text_float(text: str) -> float:
+    """A number read from text: stripped, ASCII only and without ``_``,
+    since ``float`` also reads underscores and other scripts' digits."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
 def _horizon(value) -> float:
     horizon = _number(value, "horizon")
     if not (horizon > 0.0 and math.isfinite(horizon)):
@@ -297,7 +306,7 @@ class EventHistory:
                 node = int(node_s)
                 if not 0 <= node < n:
                     raise ValueError(f"node {node} not in [0, {n})")
-                rows[node].append(float(time_s))
+                rows[node].append(_text_float(time_s))
             except ValueError as exc:
                 raise ValueError(f"bad event row at line {lineno}: {line!r}") from exc
         for row in rows:

@@ -58,7 +58,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .graphs import DirectedMixedGraph, GraphError
+from .graphs import DirectedMixedGraph, GraphError, _node_id, _transpose
 
 __all__ = [
     "Algorithm",
@@ -111,14 +111,20 @@ def _complete(nodes) -> dict:
 
 def _parent_map(g: DirectedMixedGraph) -> dict:
     """A mutable copy of ``g``: node -> set of its parents, nodes in id order."""
-    if g.bidirected:
+    if any(g._sib):
         raise GraphError("screening works on directed graphs only")
     return {b: set(g.parents(b)) for b in g.nodes}
 
 
 def _graph(parents: dict, labels) -> DirectedMixedGraph:
-    edges = [(a, b) for b, ps in parents.items() for a in ps]
-    return DirectedMixedGraph(parents, edges, (), labels=labels)
+    """Freeze a parent map into a graph, building its masks from the parent sets."""
+    ids = tuple(map(_node_id, parents))
+    # repeated observed ids collapse into one key but keep their labels
+    if len(labels) != len(ids):
+        raise GraphError(f"expected {len(ids)} labels, got {len(labels)}")
+    bit = {v: 1 << i for i, v in enumerate(ids)}
+    pa = tuple(sum(map(bit.__getitem__, ps)) for ps in parents.values())
+    return DirectedMixedGraph._of_masks(ids, labels, pa, _transpose(pa), (0,) * len(ids))
 
 
 def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):

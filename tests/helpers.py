@@ -17,7 +17,12 @@ check what screening asks.
 
 None of them reads a private name of ``causalscreen.separation``; the
 brute force and the reference search build their own move tables from
-``g.directed`` and ``g.bidirected``.
+``g.directed`` and ``g.bidirected``. A graph stores only node masks and
+decodes those edge sets on each read, so the checkers are independent of
+the package's route only as far as the decoding is right:
+``test_graphs.py::TestMaskEncoding`` pins the decoded sets to the edges
+the constructor was given, and ``check_masks_as_constructed`` pins the
+masks a builder hands over to those the constructor would build.
 """
 from __future__ import annotations
 
@@ -473,6 +478,24 @@ def reference_latent_projection(g: DirectedMixedGraph, observed) -> DirectedMixe
 
     labels = [g.label(v) for v in sorted(obs)]
     return DirectedMixedGraph(obs, directed, bidirected, labels=labels)
+
+
+def check_masks_as_constructed(g: DirectedMixedGraph) -> None:
+    """``g``'s masks are those the public constructor builds from its edges.
+
+    Each node's child mask is the transpose of the parent masks, read bit
+    by bit, and the three mask tuples, ids and labels equal those of the
+    graph the constructor builds from ``g``'s decoded edges and labels.
+    """
+    n = g.n
+    for i in range(n):
+        for j in range(n):
+            assert (g._ch[i] >> j & 1) == (g._pa[j] >> i & 1), (i, j)
+    ref = DirectedMixedGraph(g.nodes, g.directed, g.bidirected, labels=g.labels())
+    assert (g._pa, g._ch, g._sib) == (ref._pa, ref._ch, ref._sib)
+    assert g.nodes == ref.nodes and g.labels() == ref.labels()
+    assert all(type(v) is int for v in g.nodes)
+    assert g._bit == ref._bit and g.node_set == ref.node_set
 
 
 def descendant_closure(g: DirectedMixedGraph, v: int) -> set[int]:

@@ -419,7 +419,8 @@ class TestFailuresEndAsErrors:
         assert captured.err == "error: total intensity overflows at t = 0.0; model exploding?\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("spec", ["1@a", "0@1,x", "0@1,,2e"])
+    # float() reads 1_0 as 10.0 and the Arabic-Indic three as 3.0
+    @pytest.mark.parametrize("spec", ["1@a", "0@1,x", "0@1,,2e", "0@1_0", "0@\u0663", "0@1,\u0662.5"])
     def test_intervention_times_must_be_numbers(self, model_file, capsys, spec):
         rc = main(["simulate", "--model", model_file, "--intervene", spec])
         assert rc == 2

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from causalscreen import (
     subsample,
 )
 from helpers import (
+    check_masks_as_constructed,
     count_projections,
     reference_degree_weights,
     reference_ingest_connectome,
@@ -177,6 +179,27 @@ class TestIngest:
     def test_matches_field_by_field_parser(self, text, threshold):
         assert (ingest_outcome(ingest_connectome, text, threshold)
                 == ingest_outcome(reference_ingest_connectome, text, threshold))
+
+
+    def test_wide_table_matches_field_by_field_parser(self):
+        # 300 neurons: repeated chem pairs on both sides of the threshold,
+        # gap junctions given both ways round and to the neuron itself,
+        # padded rows and blank lines
+        rng = np.random.Generator(np.random.PCG64(11))
+        rows = []
+        for _ in range(3000):
+            a, b = rng.integers(300, size=2)
+            rows.append(f"n{a},n{b},{1 + rng.integers(9)},chem")
+        for _ in range(600):
+            a, b = rng.integers(300, size=2)
+            rows.append(f"n{a},n{b},{1 + rng.integers(9)},gap")
+        rows[5::97] = [f" {row} " for row in rows[5::97]]
+        rows[7::131] = [""] * len(rows[7::131])
+        text = "pre,post,count,type\n" + "\n".join(rows) + "\n"
+        got, labels = ingest_outcome(ingest_connectome, text, 4)
+        assert (got, labels) == ingest_outcome(reference_ingest_connectome, text, 4)
+        assert got.n == 300 and got._directed_count() > 1000 and got._bidirected_count() > 400
+        check_masks_as_constructed(got)
 
 
 class TestSubsample:

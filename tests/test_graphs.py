@@ -18,6 +18,7 @@ from causalscreen import (
 )
 from conftest import DEMO_OBS
 from helpers import (
+    check_masks_as_constructed,
     descendant_closure,
     directed_trek_exists,
     edge_ancestors,
@@ -164,6 +165,72 @@ class TestConstruction:
         assert not hasattr(DirectedMixedGraph(2), "__dict__")
 
 
+@st.composite
+def edge_input(draw):
+    """Node ids and raw edge lists as a caller might pass them.
+
+    Sparse ids up to 10**9, up to 100 nodes (masks wider than a machine
+    word), repeated directed edges, bidirected pairs given both ways round
+    and repeated, and some ends as numpy ints.
+    """
+    n = draw(st.one_of(st.integers(1, 12), st.integers(65, 100)))
+    ids = sorted(draw(st.sets(st.integers(0, 10**9), min_size=n, max_size=n)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    directed = [(ids[t], ids[h]) for t, h in draw(st.lists(pair, max_size=3 * n))]
+    bidirected = [(ids[x], ids[y]) for x, y in draw(st.lists(pair, max_size=n)) if x != y]
+    directed += directed[:draw(st.integers(0, 3))]
+    bidirected += [(b, a) for a, b in bidirected[:draw(st.integers(0, 3))]]
+    as_numpy = draw(st.booleans())
+    if as_numpy:
+        directed = [(np.int64(t), h) for t, h in directed]
+        bidirected = [(a, np.int32(b) if b < 2**31 else b) for a, b in bidirected]
+    return ids, directed, bidirected
+
+
+class TestMaskEncoding:
+    """Edge sets decoded from the masks are exactly the constructor's input.
+
+    The checkers in ``helpers`` read ``directed`` and ``bidirected``, which
+    the graph decodes from its masks on each read; this property is what
+    keeps them independent of the mask encoding.
+    """
+
+    @given(edge_input(), st.data())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow,
+                                                       HealthCheck.data_too_large],
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_round_trip(self, drawn, data):
+        ids, directed, bidirected = drawn
+        g = DirectedMixedGraph(ids, directed, bidirected)
+        loops = {(v, v) for v in ids}
+        want_dir = {(int(t), int(h)) for t, h in directed} | loops
+        want_bi = {(int(min(e)), int(max(e))) for e in bidirected}
+        assert g.directed == want_dir
+        assert g.nonloop_directed == want_dir - loops
+        assert g.bidirected == want_bi
+        assert all(type(v) is int for e in g.directed | g.bidirected for v in e)
+        assert g._directed_count() == len(want_dir - loops)
+        assert g._bidirected_count() == len(want_bi)
+
+        # the same edges, given in another order and with other labels
+        same = DirectedMixedGraph(reversed(ids), sorted(want_dir, reverse=True),
+                                  [(b, a) for a, b in want_bi],
+                                  labels=[f"x{v}" for v in ids])
+        assert same == g and hash(same) == hash(g)
+        assert same.labels() != g.labels()
+
+        # one directed or bidirected edge more or fewer
+        if len(ids) > 1:
+            t, h = data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            for other in (DirectedMixedGraph(ids, want_dir ^ {(t, h)}, want_bi),
+                          DirectedMixedGraph(ids, want_dir, want_bi ^ {(min(t, h), max(t, h))})):
+                assert other != g
+                assert (other.directed, other.bidirected) != (g.directed, g.bidirected)
+        # one node more, no edge more
+        wider = DirectedMixedGraph(ids + [ids[-1] + 1], want_dir, want_bi)
+        assert wider != g and wider.directed != g.directed
+
+
 class TestAncestors:
     def test_demo_value(self, demo_graph):
         assert ancestors(demo_graph, {3}) == frozenset({0, 1, 2, 3, 5})
@@ -235,6 +302,23 @@ class TestParentGraphAndProjection:
             big = random_observed(g.n, 77, k)
             small = big[: max(2, len(big) - 1)]
             assert latent_projection(latent_projection(g, big), small) == latent_projection(g, small)
+
+
+    # gapped ids, and 65 to 110 nodes whose masks are wider than a machine word
+    @given(st.one_of(sparse_dmg(max_n=20), sparse_dmg(min_n=65, max_n=110, min_degree=1)),
+           st.data())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow,
+                                                       HealthCheck.data_too_large],
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_projection_and_directed_part_build_constructor_masks(self, g, data):
+        observed = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+        # numpy ints as observed ids: the projection's ids are still ints
+        proj = latent_projection(g, [np.int64(v) for v in observed])
+        for built in (proj, directed_part(proj), directed_part(g)):
+            check_masks_as_constructed(built)
+        assert proj.nodes == tuple(sorted(observed))
+        assert directed_part(proj).directed == proj.directed
+        assert directed_part(proj).bidirected == frozenset()
 
 
 class TestCanonicalDG:

@@ -241,6 +241,18 @@ class TestEventHistory:
             EventHistory.from_csv(io.StringIO(f"node,time\n{row}\n"), n=11, horizon=5.0)
         assert str(info.value) == f"bad event row at line 2: {row!r}"
 
+    # float() reads each of these as a time: 10.0, 2.5 (Arabic-Indic two) and 3.0
+    @pytest.mark.parametrize("row", ["0,1_0", "0,\u0662.5", "0,\u0663", "0,1__0.5"])
+    def test_csv_times_are_ascii_without_underscores(self, row):
+        with pytest.raises(ValueError) as info:
+            EventHistory.from_csv(io.StringIO(f"node,time\n{row}\n"), n=1, horizon=20.0)
+        assert str(info.value) == f"bad event row at line 2: {row!r}"
+
+    def test_csv_time_field_is_stripped(self):
+        h = EventHistory.from_csv(io.StringIO("node,time\n0, 2.5\t\n0,1e0\n"),
+                                  n=1, horizon=5.0)
+        assert h.times == ((1.0, 2.5),)
+
     def test_csv_node_field_is_stripped(self):
         h = EventHistory.from_csv(io.StringIO("node,time\n 1 ,2.0\n0\t,1.0\n"),
                                   n=2, horizon=5.0)

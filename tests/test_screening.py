@@ -1,4 +1,5 @@
 """Screening stages and their compositions against the graphical oracle."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from helpers import (
     TAIL,
     LoggingOracle,
     brute_force_mu_separated,
+    check_masks_as_constructed,
     graph_strategy,
     powerset,
     random_corpus,
@@ -347,6 +349,29 @@ class TestComposedRuns:
         m = len(DEMO_OBS)
         assert len(edges) == m * (m - 1)
         assert {e.action for e in res.trace} <= {"kept", "removed"}
+
+
+@given(sparse_dmg(max_n=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_learned_graphs_build_constructor_masks(g, data):
+    observed = data.draw(st.sets(st.sampled_from(g.nodes), min_size=1))
+    proj = latent_projection(g, observed)
+    for algo in ("cs", "csapc", "csap", "ca"):
+        learned = run(algo, GraphicalOracle(proj)).graph
+        check_masks_as_constructed(learned)
+        assert learned.labels() == proj.labels()
+    trek = trek_step(GraphicalOracle(proj))
+    for built in (trek, parent_step(GraphicalOracle(proj), trek),
+                  ancestry_propagation_cheap(trek)):
+        check_masks_as_constructed(built)
+
+
+def test_explicit_observed_ids_become_ints_and_repeats_fail(chain3):
+    res = run("cs", GraphicalOracle(chain3), [np.int64(0), np.int64(2)])
+    assert res.graph.nodes == (0, 2) and all(type(v) is int for v in res.graph.nodes)
+    check_masks_as_constructed(res.graph)
+    with pytest.raises(GraphError, match="expected 2 labels, got 3"):
+        run("cs", GraphicalOracle(chain3), [0, 0, 1])
 
 
 class TestSoundnessAndBudget:
