@@ -22,6 +22,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
+from ._numbers import text_float, text_int
 from .connectome import ConnectomeSpec, run_connectome
 from .experiments import (
     CorpusConfig,
@@ -32,7 +33,7 @@ from .experiments import (
 )
 from .graphs import DirectedMixedGraph, GraphError
 from .hawkes import (EVENT_CAP_DEFAULT, HawkesModel, Intervention, SimulationError,
-                     _text_float, simulate_intervened)
+                     simulate_intervened)
 from .screening import Algorithm, run
 from .separation import GraphicalOracle, mu_separated
 
@@ -64,21 +65,17 @@ def _split_labels(raw: str) -> list:
 
 
 def _resolve_nodes(g: DirectedMixedGraph, raw: str) -> list:
-    """The ids named in ``raw`` by label or id, deduplicated, in id order.
-
-    An id is written in ASCII decimal digits; ``str.isdigit`` alone would
-    also pass superscripts, which ``int`` rejects, and other scripts'
-    digits, which ``int`` reads as an id.
-    """
+    """The ids named in ``raw`` by label or id, deduplicated, in id order."""
     by_label = dict(zip(g.labels(), g.nodes))
     out = set()
     for tok in _split_labels(raw):
-        if tok in by_label:
-            out.add(by_label[tok])
-        elif tok.isascii() and tok.isdigit() and int(tok) in g.node_set:
-            out.add(int(tok))
-        else:
+        try:
+            v = by_label[tok] if tok in by_label else text_int(tok, signed=False)
+        except ValueError:
+            v = None
+        if v not in g.node_set:
             raise GraphError(f"unknown node {tok!r}")
+        out.add(v)
     return sorted(out)
 
 
@@ -130,15 +127,16 @@ def _cmd_learn(ns) -> int:
 
 
 def _parse_intervention(raw: str) -> Intervention:
-    """``NODE@T1,T2,...`` or a bare ``NODE``; the node is ASCII decimal, as in
-    ``_resolve_nodes``, since ``int`` also reads padding, signs and other
-    scripts' digits."""
+    """``NODE@T1,T2,...`` or a bare ``NODE``; the node is written unpadded."""
     node_s, _, times_s = raw.partition("@")
-    if not (node_s.isascii() and node_s.isdigit()):
-        raise ValueError(f"intervention target must be a node index: {raw!r}")
-    node = int(node_s)
     try:
-        times = tuple(_text_float(t) for t in times_s.split(",") if t.strip()) if times_s else ()
+        if node_s != node_s.strip():
+            raise ValueError
+        node = text_int(node_s, signed=False)
+    except ValueError:
+        raise ValueError(f"intervention target must be a node index: {raw!r}") from None
+    try:
+        times = tuple(text_float(t) for t in times_s.split(",") if t.strip())
     except ValueError:
         raise ValueError(f"intervention times must be numbers: {raw!r}") from None
     return Intervention(node, times)
@@ -162,15 +160,18 @@ def _cmd_simulate(ns) -> int:
 # -- bench -------------------------------------------------------------------
 
 
-def _floats(raw: str) -> list:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _probabilities(raw: str, name: str) -> list:
+    ps = [text_float(tok) for tok in raw.split(",") if tok.strip()]
+    if not ps:
+        raise ValueError(f"{name} needs at least one probability, got {raw!r}")
+    return ps
 
 
 def _cmd_bench(ns) -> int:
     algos = [Algorithm(tok) for tok in ns.algos.split(",") if tok.strip()]
     rows = []
-    for p_dir in _floats(ns.p_dir):
-        for p_bi in _floats(ns.p_bi):
+    for p_dir in _probabilities(ns.p_dir, "p_dir"):
+        for p_bi in _probabilities(ns.p_bi, "p_bi"):
             cfg = CorpusConfig(n=ns.n, p_dir=p_dir, p_bi=p_bi,
                                count=ns.count, seed=ns.seed)
             rows.extend(bench_run(cfg, algos, latent_fraction=ns.latent_fraction,
@@ -332,6 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_musep)
 
+    # type=int and float read by the number grammar; usage errors keep the names
+    for p in (parser, *sub.choices.values()):
+        p.register("type", int, text_int)
+        p.register("type", float, text_float)
     return parser
 
 
@@ -342,6 +347,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not hasattr(ns, attr):
             setattr(ns, attr, default)
     try:
+        if ns.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {ns.seed}")
         return ns.func(ns)
     except (GraphError, ValueError, OSError, SimulationError, SoundnessViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,13 +24,13 @@ from typing import IO
 
 import numpy as np
 
-from .graphs import DirectedMixedGraph, GraphError, _node_id, directed_part, latent_projection
+from ._numbers import integer, reals, text_int
+from .graphs import DirectedMixedGraph, GraphError, directed_part, latent_projection
 # Not called here; importable from this module because perfbench/tracing.py
 # patches them by name.
 from .graphs import canonical_dg, parent_graph
 from .screening import Algorithm, run
 from .separation import GraphicalOracle
-from .hawkes import _number
 from .experiments import excess_edges, indegrees, outdegrees, spearman, topk_overlap
 
 __all__ = [
@@ -53,11 +53,11 @@ class ConnectomeSpec:
     weight_exponent: float = 1.0
 
     def __post_init__(self):
-        if _node_id(self.threshold, "threshold") < 0:
+        if integer(self.threshold, "threshold", GraphError) < 0:
             raise ValueError("threshold must be >= 0")
-        if _node_id(self.sample, "sample") < 1:
+        if integer(self.sample, "sample", GraphError) < 1:
             raise ValueError("sample size must be >= 1")
-        if not math.isfinite(_number(self.weight_exponent, "weight_exponent")):
+        if not math.isfinite(reals((self.weight_exponent,), "weight_exponent")[0]):
             raise ValueError(f"weight exponent must be finite, got {self.weight_exponent}")
 
 
@@ -123,13 +123,13 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
                 continue
             raise GraphError(f"line {lineno}: expected 4 fields, "
                              f"got {raw.count(',') + 1}: {line!r}") from None
-        pre, post, count_s, kind = pre.strip(), post.strip(), count_s.strip(), kind.strip()
+        pre, post, kind = pre.strip(), post.strip(), kind.strip()
         if not pre or not post:
             raise GraphError(f"line {lineno}: empty node name: {raw.strip()!r}")
         try:
-            count = int(count_s)
+            count = text_int(count_s)
         except ValueError:
-            raise GraphError(f"line {lineno}: non-numeric count {count_s!r}") from None
+            raise GraphError(f"line {lineno}: non-numeric count {count_s.strip()!r}") from None
         if count < 1:
             raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
         if kind == "chem":

@@ -26,8 +26,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import DirectedMixedGraph, GraphError, _node_id, directed_part, latent_projection
-from .hawkes import _number
+from ._numbers import integer, reals
+from .graphs import DirectedMixedGraph, GraphError, directed_part, latent_projection
 from .screening import Algorithm, run
 from .separation import GraphicalOracle
 
@@ -65,15 +65,17 @@ class CorpusConfig:
 
     def __post_init__(self):
         for name in ("n", "count", "seed"):
-            _node_id(getattr(self, name), name)
+            integer(getattr(self, name), name, GraphError)
         if self.n < 1:
             raise ValueError("corpus graphs need at least one node")
         for name in ("p_dir", "p_bi"):
             p = getattr(self, name)
-            if not 0.0 <= _number(p, name) <= 1.0:
+            if not 0.0 <= reals((p,), name)[0] <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
         if self.count < 0:
             raise ValueError("replicate count must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

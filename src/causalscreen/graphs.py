@@ -28,10 +28,11 @@ to the graph directly instead of writing edge tuples out.
 from __future__ import annotations
 
 import json
-import operator
 from collections import deque
 from collections.abc import Iterable, Mapping
 from typing import Optional, TextIO, Union
+
+from ._numbers import integer
 
 __all__ = [
     "GraphError",
@@ -49,18 +50,6 @@ class GraphError(ValueError):
 
 
 Edge = tuple[int, int]
-
-
-def _node_id(v, what: str = "node id") -> int:
-    """``v`` as an int: ints and numpy ints pass; bools, ``1.7`` or ``"1"`` raise."""
-    if type(v) is int:
-        return v
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise GraphError(f"{what} {v!r} is not an integer")
 
 
 def _indices(mask: int) -> tuple:
@@ -108,9 +97,9 @@ class DirectedMixedGraph:
 
     def __init__(self, nodes, directed=(), bidirected=(), labels=None):
         if isinstance(nodes, Iterable):
-            ids = tuple(sorted({_node_id(v) for v in nodes}))
+            ids = tuple(sorted({integer(v, "node id", GraphError) for v in nodes}))
         else:
-            count = _node_id(nodes, "node count")
+            count = integer(nodes, "node count", GraphError)
             if count < 0:
                 raise GraphError("node count must be nonnegative")
             ids = tuple(range(count))
@@ -139,13 +128,13 @@ class DirectedMixedGraph:
         ch = dict(bit)
         sib = dict.fromkeys(ids, 0)
         for t, h in directed:
-            t, h = _node_id(t), _node_id(h)
+            t, h = integer(t, "node id", GraphError), integer(h, "node id", GraphError)
             if t not in bit or h not in bit:
                 raise GraphError(f"directed edge {(t, h)} mentions unknown node")
             pa[h] |= bit[t]
             ch[t] |= bit[h]
         for a, b in bidirected:
-            a, b = _node_id(a), _node_id(b)
+            a, b = integer(a, "node id", GraphError), integer(b, "node id", GraphError)
             if a not in bit or b not in bit:
                 raise GraphError(f"bidirected edge {(a, b)} mentions unknown node")
             if a == b:
@@ -467,7 +456,7 @@ def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> Directe
         return g
     bit, pa, sib = g._bit, g._pa, g._sib
     # the projection's ids, ints as the constructor makes them
-    order = tuple(sorted(map(_node_id, obs)))
+    order = tuple(sorted(integer(v, "node id", GraphError) for v in obs))
     obs_mask = sum(map(bit.__getitem__, order))
     # old bit -> the projection's bit, for masks over the observed nodes
     new_bit = {bit[o]: 1 << k for k, o in enumerate(order)}

@@ -49,8 +49,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import operator
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -58,6 +56,7 @@ from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
+from ._numbers import integer, real_type, reals, text_float, text_int
 from .graphs import DirectedMixedGraph
 
 __all__ = [
@@ -92,7 +91,7 @@ class ExponentialKernel:
     b: float
 
     def __post_init__(self):
-        a, b = _number(self.a, "kernel amplitude"), _number(self.b, "kernel decay")
+        a, b = reals((self.a,), "kernel amplitude")[0], reals((self.b,), "kernel decay")[0]
         if not (a >= 0.0 and math.isfinite(a)):
             raise ValueError(f"kernel amplitude must be finite and >= 0, got {self.a!r}")
         if not (b > 0.0 and math.isfinite(b)):
@@ -108,54 +107,11 @@ def _json_array(value, where: str):
     return value
 
 
-def _is_number_type(t) -> bool:
-    # bool is an int subclass, but True is not a number here, nor is JSON true
-    return issubclass(t, numbers.Real) and t is not bool
-
-
-def _floats(values, where: str) -> tuple:
-    """``float`` of each value; a non-number (a string, a boolean) or an int
-    beyond the float range is a ValueError naming where."""
-    values = tuple(values)
-    # One check per distinct type, not per value: event times pass through here.
-    if not all(map(_is_number_type, set(map(type, values)))):
-        bad = next(v for v in values if not _is_number_type(type(v)))
-        raise ValueError(f"{where} must be a number, got {bad!r}")
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        raise ValueError(f"{where} is too large for a float") from None
-
-
-def _text_float(text: str) -> float:
-    """A number read from text: stripped, ASCII only and without ``_``,
-    since ``float`` also reads underscores and other scripts' digits."""
-    text = text.strip()
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"{text!r} is not a number")
-    return float(text)
-
-
 def _horizon(value) -> float:
-    horizon = _number(value, "horizon")
+    horizon = reals((value,), "horizon")[0]
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
     return horizon
-
-
-def _number(value, where: str) -> float:
-    """A real number, as a float; strings and booleans are a ValueError naming where."""
-    return _floats((value,), where)[0]
-
-
-def _integer(value, where: str) -> int:
-    """An int: ints and numpy integers pass; bools, floats and strings raise ValueError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{where} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +122,7 @@ class HawkesModel:
     horizon: float
 
     def __post_init__(self):
-        mu = tuple(_number(x, "baseline rate") for x in self.mu)
+        mu = tuple(reals((x,), "baseline rate")[0] for x in self.mu)
         if not mu:
             raise ValueError("model needs at least one node")
         if any(not (x >= 0.0 and math.isfinite(x)) for x in mu):
@@ -213,7 +169,7 @@ class HawkesModel:
             horizon = data["T"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model JSON needs keys mu, kernels, T: {exc}") from exc
-        mu = tuple(_number(x, f"mu[{i}]") for i, x in enumerate(_json_array(mu, "mu")))
+        mu = tuple(reals((x,), f"mu[{i}]")[0] for i, x in enumerate(_json_array(mu, "mu")))
         kernels = []
         for i, row in enumerate(_json_array(rows, "kernels")):
             parsed = []
@@ -222,14 +178,14 @@ class HawkesModel:
                 if entry is None:
                     a, b = 0.0, 1.0
                 elif isinstance(entry, dict) and all(
-                        _is_number_type(type(entry.get(k))) for k in "ab"):
-                    a, b = (_number(entry[k], f"{where}.{k}") for k in "ab")
+                        real_type(type(entry.get(k))) for k in "ab"):
+                    a, b = (reals((entry[k],), f"{where}.{k}")[0] for k in "ab")
                 else:
                     raise ValueError(f"{where} must be null or an object with numbers "
                                      f"a and b, got {entry!r}")
                 parsed.append(ExponentialKernel(a, b))
             kernels.append(tuple(parsed))
-        return cls(mu, tuple(kernels), _number(horizon, "T"))
+        return cls(mu, tuple(kernels), reals((horizon,), "T")[0])
 
     @classmethod
     def from_json(cls, fh: IO[str]) -> "HawkesModel":
@@ -250,7 +206,7 @@ class EventHistory:
         horizon = _horizon(self.horizon)
         rows = []
         for seq in self.times:
-            row = _floats(seq, "event time")
+            row = reals(seq, "event time")
             if not all(map(math.isfinite, row)):
                 raise ValueError("event times must be finite")
             for prev, cur in zip(row, row[1:]):
@@ -298,15 +254,10 @@ class EventHistory:
                 continue
             try:
                 node_s, time_s = line.split(",")
-                node_s = node_s.strip()
-                # ASCII decimal only: int() also reads signs, underscores
-                # and other scripts' digits
-                if not (node_s.isascii() and node_s.isdigit()):
-                    raise ValueError(f"node {node_s!r} is not an index")
-                node = int(node_s)
-                if not 0 <= node < n:
+                node = text_int(node_s, signed=False)
+                if node >= n:
                     raise ValueError(f"node {node} not in [0, {n})")
-                rows[node].append(_text_float(time_s))
+                rows[node].append(text_float(time_s))
             except ValueError as exc:
                 raise ValueError(f"bad event row at line {lineno}: {line!r}") from exc
         for row in rows:
@@ -321,7 +272,7 @@ class Intervention:
     times: tuple
 
     def __post_init__(self):
-        ts = _floats(self.times, "intervention time")
+        ts = reals(self.times, "intervention time")
         if not all(map(math.isfinite, ts)):
             raise ValueError("intervention times must be finite")
         for prev, cur in zip(ts, ts[1:]):
@@ -329,7 +280,7 @@ class Intervention:
                 raise ValueError("intervention times must be strictly increasing")
         if ts and ts[0] < 0.0:
             raise ValueError("intervention times must be >= 0")
-        object.__setattr__(self, "node", _integer(self.node, "node"))
+        object.__setattr__(self, "node", integer(self.node, "node"))
         object.__setattr__(self, "times", ts)
 
 
@@ -358,7 +309,7 @@ def causal_graph(model: HawkesModel) -> DirectedMixedGraph:
 def intensity(model: HawkesModel, history: EventHistory, t: float) -> np.ndarray:
     """Intensity vector at time t, using only events strictly before t."""
     _same_nodes(model, history)
-    t = _number(t, "time")
+    t = reals((t,), "time")[0]
     if not (0.0 <= t <= model.horizon):
         raise ValueError(f"time {t} outside [0, {model.horizon}]")
     A, B = model.matrices()
@@ -392,7 +343,7 @@ def stationary_rates(model: HawkesModel) -> np.ndarray:
 @np.errstate(over="ignore")
 def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
               seed: int, force: bool, max_events: int) -> EventHistory:
-    max_events = _integer(max_events, "max_events")
+    max_events = integer(max_events, "max_events")
     if max_events < 0:
         raise ValueError(f"max_events must be >= 0, got {max_events}")
     n = model.n
@@ -583,7 +534,7 @@ def _same_nodes(model: HawkesModel, history: EventHistory) -> None:
 
 def _history_node(model: HawkesModel, history: EventHistory, node) -> int:
     """Check that history and node fit the model; returns the node as an int."""
-    node = _integer(node, "node")
+    node = integer(node, "node")
     if not 0 <= node < model.n:
         raise ValueError(f"unknown node {node}")
     _same_nodes(model, history)
@@ -599,7 +550,7 @@ def compensator(model: HawkesModel, history: EventHistory, node: int,
     be finite and lie within [0, T], as for :func:`intensity`.
     """
     node = _history_node(model, history, node)
-    ts = np.array(_floats(times, "compensator time"), dtype=float)
+    ts = np.array(reals(times, "compensator time"), dtype=float)
     if not np.isfinite(ts).all():
         raise ValueError("compensator times must be finite")
     outside = (ts < 0.0) | (ts > model.horizon)

@@ -58,7 +58,8 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .graphs import DirectedMixedGraph, GraphError, _node_id, _transpose
+from ._numbers import integer
+from .graphs import DirectedMixedGraph, GraphError, _transpose
 
 __all__ = [
     "Algorithm",
@@ -118,7 +119,7 @@ def _parent_map(g: DirectedMixedGraph) -> dict:
 
 def _graph(parents: dict, labels) -> DirectedMixedGraph:
     """Freeze a parent map into a graph, building its masks from the parent sets."""
-    ids = tuple(map(_node_id, parents))
+    ids = tuple(integer(v, "node id", GraphError) for v in parents)
     # repeated observed ids collapse into one key but keep their labels
     if len(labels) != len(ids):
         raise GraphError(f"expected {len(ids)} labels, got {len(labels)}")

@@ -404,12 +404,7 @@ class GraphicalOracle:
                     raise GraphError(_EMPTY_QUERY)
                 into = _keep(self._searches, given, _into(g, c, c))
             else:
-                a = 0
-                try:
-                    for v in sources:
-                        a |= bit[v]
-                except KeyError as exc:
-                    raise _unknown(exc) from None
+                a = _mask(bit, sources)
                 if not a:
                     raise GraphError(_EMPTY_QUERY)
             self._calls += 1
@@ -426,12 +421,7 @@ class GraphicalOracle:
                 if closure is None:
                     reach = _keep(self._searches, key, _from(g, a, c))
             if closure is None:
-                b = 0
-                try:
-                    for v in targets:
-                        b |= bit[v]
-                except KeyError as exc:
-                    raise _unknown(exc) from None
+                b = _mask(bit, targets)
                 if not b:
                     raise GraphError(_EMPTY_QUERY)
                 self._calls += 1

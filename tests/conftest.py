@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# More examples for the error-contract fuzz test, run under this profile in CI.
+settings.register_profile("fuzz", settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 from causalscreen import DirectedMixedGraph

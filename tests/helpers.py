@@ -27,6 +27,7 @@ masks a builder hands over to those the constructor would build.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from itertools import chain, combinations
 from typing import IO, Sequence
@@ -693,7 +694,11 @@ def _reference_parse_row(lineno: int, line: str) -> tuple:
     pre, post, count_s, kind = parts
     if not pre or not post:
         raise GraphError(f"line {lineno}: empty node name: {line!r}")
+    # an optional minus and ASCII digits; int() alone also reads +9, 1_0 and
+    # other scripts' digits, and refuses more digits than its limit
     try:
+        if not re.fullmatch("-?[0-9]+", count_s):
+            raise ValueError(count_s)
         count = int(count_s)
     except ValueError:
         raise GraphError(f"line {lineno}: non-numeric count {count_s!r}") from None

@@ -1,4 +1,5 @@
 """Command-line surface: every subcommand end to end, in process."""
+import contextlib
 import dataclasses
 import io
 import json
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from causalscreen import (
     DirectedMixedGraph,
@@ -266,6 +269,14 @@ class TestConnectome:
         assert "error:" in capsys.readouterr().err
 
 
+def _exit_code(argv) -> int:
+    """``main``'s status, or argparse's exit status for a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_module_entry_point(graph_file):
     proc = subprocess.run(
         [sys.executable, "-m", "causalscreen", "musep", "--graph", graph_file,
@@ -429,8 +440,8 @@ class TestFailuresEndAsErrors:
         assert captured.out == ""
 
     # a superscript digit, which int() rejects, and Arabic-Indic one, which
-    # int() reads as 1 (node b of the demo graph)
-    @pytest.mark.parametrize("token", ["²", "١", "1²", "٣"])
+    # int() reads as 1 (node b of the demo graph); a node index has no sign
+    @pytest.mark.parametrize("token", ["²", "١", "1²", "٣", "-0"])
     def test_node_ids_are_ascii_decimal(self, graph_file, capsys, token):
         for argv in (["musep", "--graph", graph_file, "-A", "a", "-B", token],
                      ["learn", "--graph", graph_file, "--observed", f"a,{token}"]):
@@ -447,6 +458,28 @@ class TestFailuresEndAsErrors:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: intervention target must be a node index: {spec!r}\n"
+        assert captured.out == ""
+
+    # Each of these was once accepted: int() and float() read 1_0 as 10 and
+    # other scripts' digits as theirs, and an empty list swept no density.
+    @pytest.mark.parametrize("args, message", [
+        (["bench", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["bench", "--seed", "\u0663"], "argument --seed: invalid int value: '\u0663'"),
+        (["bench", "--p-dir", "\u0661"], "error: '\u0661' is not a number"),
+        (["bench", "--p-dir", "0_5"], "error: '0_5' is not a number"),
+        (["bench", "--p-dir", ""], "error: p_dir needs at least one probability, got ''"),
+        (["bench", "--p-bi", ","], "error: p_bi needs at least one probability, got ','"),
+        (["bench", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+        (["connectome", "--weight-exponent", "\u0661"],
+         "argument --weight-exponent: invalid float value: '\u0661'"),
+        (["connectome", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+    ])
+    def test_numbers_mean_what_they_look_like(self, synapse_file, capsys, args, message):
+        base = (["bench", "--n", "3", "--p-dir", "0.5", "--count", "1"] if args[0] == "bench"
+                else ["connectome", "--file", synapse_file, "--sample", "3"])
+        assert _exit_code(base + args[1:]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert captured.out == ""
 
     @staticmethod
@@ -472,3 +505,108 @@ class TestFailuresEndAsErrors:
         rc = main(["connectome", "--file", synapse_file, "--sample", "3", "--seed", "11"])
         assert rc == 2
         assert "error: output lacks" in capsys.readouterr().err
+
+
+# -- the error contract over every subcommand ---------------------------------
+
+# Small valid numbers, then forms that int() or float() alone would read or
+# that only some fields take: digit separators, a plus sign, other scripts'
+# digits, a superscript, a float where an int goes, nan, a negative number,
+# the empty string and hexadecimal.
+NUMBERS = ("0", "1", "2", "3", "0.5", "1_0", "+3", "٣", "²", "3.0", "nan",
+           "-1", "", "0x3")
+# what no float field reads as a number, and what no int field does
+NOT_FLOATS = {"1_0", "٣", "²", "0x3"}
+NOT_INTS = NOT_FLOATS | {"0.5", "+3", "3.0", "nan"}
+
+
+@st.composite
+def cli_runs(draw):
+    """A command with small inputs: (command, argv, synapse-table counts, number
+    tokens by kind). ``events`` stands for the event CSV reader, which no
+    subcommand calls."""
+    tokens = {"int": [], "float": []}
+
+    def num(kind, choices=NUMBERS):
+        # half the draws from the small valid numbers, so that more runs pass
+        tok = draw(st.sampled_from(choices[:5]) | st.sampled_from(choices))
+        tokens[kind].append(tok)
+        return tok
+
+    def flag(name, kind, choices=NUMBERS):
+        return [f"--{name}={num(kind, choices)}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(
+        ("learn", "musep", "simulate", "bench", "connectome", "events")))
+    counts = []
+    if command == "learn":
+        argv = ["learn", *flag("seed", "int"), "--order=random", "--algo=csap"]
+        if draw(st.booleans()):
+            argv.append(f"--observed=a,d,{num('int')}")
+    elif command == "musep":
+        argv = ["musep", f"--sources=a,{num('int')}", f"--targets={num('int')}"]
+        if draw(st.booleans()):
+            argv.append(f"--given=d,{num('int')}")
+    elif command == "simulate":
+        argv = ["simulate", *flag("seed", "int"), *flag("max-events", "int")]
+        if draw(st.booleans()):
+            argv.append(f"--intervene={num('int')}@{num('float')},{num('float')}")
+    elif command == "bench":
+        argv = ["bench", f"--n={num('int')}", f"--p-dir={num('float')}",
+                f"--count={num('int')}", "--algos=cs,ca", *flag("p-bi", "float"),
+                *flag("latent-fraction", "float"), *flag("seed", "int"),
+                *flag("threads", "int", tuple(t for t in NUMBERS if t != "3"))]
+    elif command == "connectome":
+        counts = [draw(st.sampled_from(("5", "9"))) for _ in range(7)] + [num("int")]
+        argv = ["connectome", *flag("threshold", "int"), *flag("sample", "int"),
+                *flag("weight-exponent", "float"), *flag("topk", "int"),
+                *flag("seed", "int")]
+    else:
+        argv = [f"{num('int')},{num('float')}"]
+    return command, argv, counts, tokens
+
+
+def _run(command, argv, counts, files) -> tuple:
+    """(status, stderr) of one run; the event CSV reader fails with status 2."""
+    if command == "events":
+        try:
+            EventHistory.from_csv(io.StringIO(f"node,time\n{argv[0]}\n"), n=2, horizon=5.0)
+        except ValueError as exc:
+            return 2, f"error: {exc}"
+        return 0, ""
+    if command == "connectome":
+        rows = "".join(f"n{i},n{(i * 3 + 1) % 8},{c},chem\n" for i, c in enumerate(counts))
+        files["connectome"].write_text("pre,post,count,type\n" + rows + "n0,n7,6,gap\n")
+    option = {"learn": "--graph", "musep": "--graph", "simulate": "--model",
+              "bench": None, "connectome": "--file"}[command]
+    argv = argv[:1] + ([f"{option}={files[command]}"] if option else []) + argv[1:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = _exit_code(argv)
+    return status, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    graph, model = root / "truth.json", root / "model.json"
+    graph.write_text(DirectedMixedGraph(6, DEMO_EDGES, labels=DEMO_LABELS).to_json())
+    with open(model, "w") as fh:
+        HawkesModel((0.5, 0.5), ((K(0.3, 1.0), K(0.3, 2.0)), (K(0.4, 1.0), K(0.2, 1.0))),
+                    5.0).to_json(fh)
+    return {"learn": graph, "musep": graph, "simulate": model,
+            "connectome": root / "synapses.csv"}
+
+
+@given(run=cli_runs())
+def test_error_contract(cli_files, run):
+    """Every run exits 0 or 2 without a traceback, prints ``error:`` on 2, and
+    a number token that its field cannot read always ends as an error."""
+    command, argv, counts, tokens = run
+    status, err = _run(command, argv, counts, cli_files)
+    assert status in (0, 2), err
+    assert "Traceback" not in err
+    if status == 2:
+        assert "error:" in err
+    if NOT_INTS & set(tokens["int"]) or NOT_FLOATS & set(tokens["float"]):
+        assert status == 2, (argv, counts)

@@ -148,6 +148,10 @@ class TestIngest:
         (",B,5,chem", "line 3: empty node name: ',B,5,chem'"),
         ("A,B,0,chem", "line 3: count must be >= 1, got 0"),
         ("A,B, x ,gap", "line 3: non-numeric count 'x'"),
+        # int() reads each of these as a count: 10, 9 and the Arabic-Indic nine
+        ("A,B,1_0,chem", "line 3: non-numeric count '1_0'"),
+        ("A,B,+9,chem", "line 3: non-numeric count '+9'"),
+        ("A,B,\u0669,gap", "line 3: non-numeric count '\u0669'"),
         ("A,B,5,chem\t", None),
         # str.strip drops the \x1c padding, int alone would not
         ("A,B,\x1c5\x1c,chem", None),

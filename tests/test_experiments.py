@@ -34,6 +34,8 @@ class TestCorpus:
             CorpusConfig(3, 1.5, 0.5, 1, 0)
         with pytest.raises(ValueError):
             CorpusConfig(3, 0.5, -0.1, 1, 0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            CorpusConfig(3, 0.5, 0.5, 1, -1)
 
     @pytest.mark.parametrize("field, value, message", [
         ("n", 2.5, "n 2.5 is not an integer"),

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -419,9 +420,9 @@ class TestSimulate:
     def test_bad_event_cap_is_rejected_before_the_run(self, cap, events):
         # a zero baseline gives no event, so only a check before the loop sees the cap
         m = HawkesModel((float(events),), ((K(0.0, 1.0),),), 5.0)
-        with pytest.raises(ValueError, match="max_events must be"):
+        with pytest.raises(ValueError, match=r"max_events (must be >= 0|.+ is not an integer)"):
             simulate(m, 1, max_events=cap)
-        with pytest.raises(ValueError, match="max_events must be"):
+        with pytest.raises(ValueError, match=r"max_events (must be >= 0|.+ is not an integer)"):
             simulate_intervened(m, Intervention(0, (1.0,)), 1, max_events=cap)
 
     def test_event_cap_takes_numpy_ints_and_zero(self):
@@ -490,7 +491,7 @@ class TestInterventions:
 
     @pytest.mark.parametrize("node", [1.7, 1.0, np.float64(1.0), True, np.True_, "1", None])
     def test_node_must_be_an_integer(self, node):
-        with pytest.raises(ValueError, match="node must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"node {node!r} is not an integer")):
             Intervention(node, (1.0,))
 
     @pytest.mark.parametrize("time", NOT_TIMES, ids=repr)
@@ -567,9 +568,9 @@ class TestCompensator:
     def test_node_must_be_an_integer(self, node):
         m = two_node_model()
         h = EventHistory(((0.5,), (1.0, 2.0)), 10.0)
-        with pytest.raises(ValueError, match="node must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"node {node!r} is not an integer")):
             compensator(m, h, node, (1.0,))
-        with pytest.raises(ValueError, match="node must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"node {node!r} is not an integer")):
             rescaled_intervals(m, h, node)
 
     def test_node_range_and_numpy_ints(self):
