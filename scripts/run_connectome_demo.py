@@ -18,6 +18,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from causalscreen import ConnectomeSpec, run_connectome
+from causalscreen._numbers import text_float, text_int
 
 
 def synthesize(neurons, seed):
@@ -41,6 +42,9 @@ def synthesize(neurons, seed):
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # type=int and float read by the package's number grammar, as the CLI does
+    ap.register("type", int, text_int)
+    ap.register("type", float, text_float)
     ap.add_argument("--file", help="existing synapse CSV; omit to synthesize one")
     ap.add_argument("--neurons", type=int, default=60, help="synthetic table size")
     ap.add_argument("--threshold", type=int, default=4)

@@ -4,9 +4,7 @@ Subcommands: ``learn`` (screen a graph through the separation oracle),
 ``simulate`` (sample a Hawkes trajectory), ``bench`` (random-graph
 sweeps), ``connectome`` (ingest/subsample/screen a synapse table), and
 ``musep`` (one-off separation query). Global flags ``--seed`` and
-``--format csv|json`` are accepted before or after the subcommand name;
-``--threads`` is an option of ``bench`` alone; given before the command
-name, it is an error that says so.
+``--format csv|json`` are accepted before or after the subcommand name.
 
 All writers are deterministic: JSON is emitted with sorted keys, CSV rows
 in a fixed order, floats through repr, no timestamps. Rerunning a command
@@ -56,12 +54,17 @@ def _dump_json(doc, fh) -> None:
     fh.write("\n")
 
 
+def _comma_list(raw: str) -> list:
+    """The stripped, nonblank tokens of a comma-separated list."""
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
 def _split_labels(raw: str) -> list:
     if raw.startswith("@"):
         with open(raw[1:]) as fh:
             raw = fh.read()
         return [tok for tok in raw.replace(",", " ").split() if tok]
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+    return _comma_list(raw)
 
 
 def _resolve_nodes(g: DirectedMixedGraph, raw: str) -> list:
@@ -136,7 +139,7 @@ def _parse_intervention(raw: str) -> Intervention:
     except ValueError:
         raise ValueError(f"intervention target must be a node index: {raw!r}") from None
     try:
-        times = tuple(text_float(t) for t in times_s.split(",") if t.strip())
+        times = tuple(map(text_float, _comma_list(times_s)))
     except ValueError:
         raise ValueError(f"intervention times must be numbers: {raw!r}") from None
     return Intervention(node, times)
@@ -161,21 +164,21 @@ def _cmd_simulate(ns) -> int:
 
 
 def _probabilities(raw: str, name: str) -> list:
-    ps = [text_float(tok) for tok in raw.split(",") if tok.strip()]
+    ps = [text_float(tok) for tok in _comma_list(raw)]
     if not ps:
         raise ValueError(f"{name} needs at least one probability, got {raw!r}")
     return ps
 
 
 def _cmd_bench(ns) -> int:
-    algos = [Algorithm(tok) for tok in ns.algos.split(",") if tok.strip()]
+    algos = [Algorithm(tok) for tok in _comma_list(ns.algos)]
     rows = []
     for p_dir in _probabilities(ns.p_dir, "p_dir"):
         for p_bi in _probabilities(ns.p_bi, "p_bi"):
             cfg = CorpusConfig(n=ns.n, p_dir=p_dir, p_bi=p_bi,
                                count=ns.count, seed=ns.seed)
             rows.extend(bench_run(cfg, algos, latent_fraction=ns.latent_fraction,
-                                  threads=ns.threads, timing=ns.timing))
+                                  timing=ns.timing))
     with _out(ns.out) as fh:
         if ns.format == "json":
             _dump_json({"rows": [row.__dict__ for row in rows],
@@ -233,14 +236,6 @@ def _cmd_musep(ns) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-class _AfterBench(argparse.Action):
-    """``--threads`` given before the command: an error naming where it goes."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"--threads is an option of bench and goes after it: "
-                     f"{parser.prog} bench --threads N ...")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -254,9 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Constraint-based causal screening for event-process networks.",
         parents=[common],
     )
-    # the top level takes --threads only to reject it with a pointer to bench
-    parser.add_argument("--threads", nargs="?", action=_AfterBench,
-                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", parents=[common],
@@ -299,10 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated algorithms to compare")
     p.add_argument("--latent-fraction", type=float, default=0.0,
                    help="fraction of nodes hidden from the oracle")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for replicate sweeps; each replicate builds "
-                        "its own oracles, and on GIL builds threads do not speed up "
-                        "the pure-Python replicates")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--timing", action="store_true",
                    help="measure per-run wall time (breaks byte determinism)")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -246,28 +245,19 @@ def bench_run(cfg: CorpusConfig, algorithms: Iterable, *,
     """Run every algorithm on every replicate of the corpus.
 
     Returns rows grouped by replicate (in index order) and, within a
-    replicate, in the given algorithm order. Replicates may execute on a
-    thread pool; results are folded back in index order either way, so the
-    schedule cannot leak into the output.
+    replicate, in the given algorithm order.
     """
     algos = [Algorithm(a) for a in algorithms]
     if not algos:
         raise ValueError("need at least one algorithm")
     if not 0.0 <= latent_fraction < 1.0:
         raise ValueError("latent fraction must lie in [0, 1)")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    indices = range(cfg.count)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(
-                lambda i: _replicate_rows(cfg, i, algos, latent_fraction, timing),
-                indices,
-            ))
-    else:
-        per_rep = [_replicate_rows(cfg, i, algos, latent_fraction, timing)
-                   for i in indices]
-    return [row for rows in per_rep for row in rows]
+    # Queries hold the GIL, so replicates run serially; ``threads`` stays for
+    # perfbench's corpus workload, which passes 1.
+    if integer(threads, "threads") != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
+    return [row for i in range(cfg.count)
+            for row in _replicate_rows(cfg, i, algos, latent_fraction, timing)]
 
 
 def write_metrics_csv(rows: Iterable[MetricsRow], fh: IO[str]) -> None:

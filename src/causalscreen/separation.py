@@ -334,8 +334,8 @@ class GraphicalOracle:
     freed with the oracle, or each kind all at once when there are
     ``_MAX_SEARCHES`` of it.
 
-    An oracle is not to be shared across threads: ``bench_run`` gives each
-    (replicate, algorithm) its own.
+    An oracle belongs to one run: ``bench_run`` gives each (replicate,
+    algorithm) its own.
 
     Parameters
     ----------

@@ -195,12 +195,12 @@ def test_criterion_07_density_sweeps():
     ca_beats_cs = []
     for p in densities:
         cfg = CorpusConfig(5, p, p / 2, 500, SEED)
-        agg = aggregate(bench_run(cfg, ("cs", "ca"), threads=4))
+        agg = aggregate(bench_run(cfg, ("cs", "ca")))
         ca_beats_cs.append(agg["ca"]["mean_calls"] > agg["cs"]["mean_calls"])
     propagation_ok = []
     for p in densities:
         cfg = CorpusConfig(10, p, p / 2, 120, SEED)
-        agg = aggregate(bench_run(cfg, ("cs", "csapc", "csap"), threads=4))
+        agg = aggregate(bench_run(cfg, ("cs", "csapc", "csap")))
         bound = agg["cs"]["mean_excess"] + 0.1
         propagation_ok.append(
             agg["csapc"]["mean_excess"] <= bound

@@ -371,3 +371,14 @@ def test_demo_script_runs():
     header, *rows = proc.stdout.splitlines()
     assert header.split()[:4] == ["algo", "true", "excess", "calls"]
     assert [row.split()[0] for row in rows] == ["cs", "csapc", "csap", "ca"]
+
+
+@pytest.mark.parametrize("args", [["--seed", "\u0663"], ["--neurons", "1_0"],
+                                  ["--weight-exponent", "\u0661"]])
+def test_demo_script_reads_numbers_by_the_package_grammar(args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_connectome_demo.py"), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert f"error: argument {args[0]}: invalid" in proc.stderr

@@ -204,15 +204,18 @@ class TestBenchRun:
             "algo,replicate,n,p_dir,p_bi,true_directed,true_bidirected,excess,calls,ms"
         )
 
-    def test_threads_do_not_change_results(self):
-        serial = bench_run(self.CFG, ("cs", "csap"))
-        threaded = bench_run(self.CFG, ("cs", "csap"), threads=3)
-        assert serial == threaded
-
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_threads_rejected(self, threads):
-        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        with pytest.raises(ValueError, match=f"threads must be 1, got {threads}"):
             bench_run(self.CFG, ("cs",), threads=threads)
+
+    def test_one_thread_only(self):
+        # replicates run serially; the keyword takes 1 and nothing else
+        for threads in (2, 4):
+            with pytest.raises(ValueError, match=f"threads must be 1, got {threads}"):
+                bench_run(self.CFG, ("cs",), threads=threads)
+        assert bench_run(self.CFG, ("cs", "csap"), threads=1) == \
+            bench_run(self.CFG, ("cs", "csap"))
 
     def test_timing_flag_populates_ms(self):
         rows = bench_run(self.CFG, ("cs",), timing=True)
