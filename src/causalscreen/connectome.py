@@ -107,13 +107,14 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
     name: the endpoints of the kept edges plus the neurons of the records
     that add no edge.
     """
+    if integer(threshold, "threshold", GraphError) < 0:
+        raise ValueError("threshold must be >= 0")
     header = fh.readline().strip()
     if header != CONNECTOME_HEADER:
         raise GraphError(f"expected header {CONNECTOME_HEADER!r}, got {header!r}")
-    chem: set = set()
-    gap: set = set()
-    names: set = set()
-    add_chem, add_gap, add_name = chem.add, gap.add, names.add
+    # Kept edges tails[i] -> heads[i] and ends[2i] <-> ends[2i + 1] are ORed into
+    # masks, blind to repeats and row order. counts: each count text that passed.
+    tails, heads, ends, counts, names = [], [], [], {}, set()
     for lineno, raw in enumerate(fh, start=2):
         try:
             pre, post, count_s, kind = raw.split(",")
@@ -126,41 +127,41 @@ def ingest_connectome(fh: IO[str], threshold: int = 4) -> DirectedMixedGraph:
         pre, post, kind = pre.strip(), post.strip(), kind.strip()
         if not pre or not post:
             raise GraphError(f"line {lineno}: empty node name: {raw.strip()!r}")
-        try:
-            count = text_int(count_s)
-        except ValueError:
-            raise GraphError(f"line {lineno}: non-numeric count {count_s.strip()!r}") from None
-        if count < 1:
-            raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
+        count = counts.get(count_s)
+        if count is None:
+            try:
+                count = text_int(count_s)
+            except ValueError:
+                raise GraphError(f"line {lineno}: non-numeric count {count_s.strip()!r}") from None
+            if count < 1:
+                raise GraphError(f"line {lineno}: count must be >= 1, got {count}")
+            counts[count_s] = count
         if kind == "chem":
             if count > threshold:
-                add_chem((pre, post))
+                tails.append(pre)
+                heads.append(post)
                 continue
         elif kind == "gap":
             if pre != post:
-                add_gap((pre, post) if pre < post else (post, pre))
+                ends.extend((pre, post))
                 continue
         else:
             raise GraphError(f"line {lineno}: type must be chem or gap, got {kind!r}")
-        add_name(pre)
-        add_name(post)
-    names.update(*chem, *gap)
+        names.add(pre)
+        names.add(post)
+    names.update(tails, heads, ends)
     if not names:
         raise GraphError("connectome file has no records")
     labels = sorted(names)
-    # masks in label order; a pair ORs in its bits whatever order the sets
-    # iterate in, so the graph does not depend on hashing
-    bit = {name: 1 << i for i, name in enumerate(labels)}
-    index = {name: i for i, name in enumerate(labels)}
-    pa = list(bit.values())     # the loops
-    ch = list(pa)
-    sib = [0] * len(labels)
-    for a, b in chem:
-        pa[index[b]] |= bit[a]
-        ch[index[a]] |= bit[b]
-    for a, b in gap:
-        sib[index[a]] |= bit[b]
-        sib[index[b]] |= bit[a]
+    at = {name: i for i, name in enumerate(labels)}.__getitem__
+    pa = [1 << i for i in range(len(labels))]     # the loops
+    ch, sib = list(pa), [0] * len(labels)
+    for a, b in zip(map(at, tails), map(at, heads)):
+        pa[b] |= 1 << a
+        ch[a] |= 1 << b
+    for a, b in zip(map(at, ends[::2]), map(at, ends[1::2])):
+        sib[a] |= 1 << b
+        sib[b] |= 1 << a
     return DirectedMixedGraph._of_masks(tuple(range(len(labels))), labels,
                                         tuple(pa), tuple(ch), tuple(sib))
 

@@ -403,12 +403,29 @@ def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) ->
 
     The search ``mu_separated`` ran before graphs were compiled to int
     states: anc(C) by a fresh BFS per query, a move table keyed by node id,
-    and a set of tuples for the visited states.
+    and a set of tuples for the visited states. It stops at the first head
+    arrival at a target.
     """
-    a, b, c = frozenset(sources), frozenset(targets), frozenset(given)
+    b = frozenset(targets)
+    return not any(w in b for w in _head_arrivals(g, sources, given))
+
+
+def reference_head_reach(g: DirectedMixedGraph, sources, given=()) -> frozenset:
+    """Every node the reference search from A given C reaches by a head arrival.
+
+    The states a search visits do not depend on its targets, so one search
+    run to the end answers ``reference_mu_separated`` for every target: v is
+    in the result exactly when A is not separated from {v} given C.
+    """
+    return frozenset(_head_arrivals(g, sources, given))
+
+
+def _head_arrivals(g: DirectedMixedGraph, sources, given):
+    """Yield the node of each (node, HEAD) state when the search first reaches it."""
+    a, c = frozenset(sources), frozenset(given)
     starts = a - c
     if not starts:
-        return True
+        return
     anc = edge_ancestors(g, c)
     moves = move_table(g)
 
@@ -419,10 +436,10 @@ def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) ->
             state = (w, am)
             if state in seen:
                 continue
-            if am == HEAD and w in b:
-                return False
             seen.add(state)
             queue.append(state)
+            if am == HEAD:
+                yield w
     while queue:
         v, mark = queue.popleft()
         for dm, w, am in moves[v]:
@@ -434,11 +451,10 @@ def reference_mu_separated(g: DirectedMixedGraph, sources, targets, given=()) ->
             state = (w, am)
             if state in seen:
                 continue
-            if am == HEAD and w in b:
-                return False
             seen.add(state)
             queue.append(state)
-    return True
+            if am == HEAD:
+                yield w
 
 
 def reference_latent_projection(g: DirectedMixedGraph, observed) -> DirectedMixedGraph:

@@ -33,6 +33,7 @@ from helpers import (
     directed_trek_exists,
     powerset,
     random_corpus,
+    reference_head_reach,
     reference_mu_separated,
     sparse_dmg,
 )
@@ -41,8 +42,13 @@ from helpers import (
 SPARSE_IDS = (3, 17, 1000, 1001, 40_000, 10**9)
 
 
-def check_against_reference(g, data, max_given=6):
-    """Answers, and the whole head-arrival mask the oracle keeps for (A, C)."""
+def check_against_reference(g, data, max_given=6, per_node=False):
+    """Answers, and the whole head-arrival mask the oracle keeps for (A, C).
+
+    The mask is checked against one reference search per (A, C) run to the
+    end; with ``per_node`` that search is checked against the early-exit
+    reference for each node as the target.
+    """
     nodes = st.sampled_from(g.nodes)
     a = data.draw(st.sets(nodes, min_size=1, max_size=4))
     b = data.draw(st.sets(nodes, min_size=1, max_size=4))
@@ -51,15 +57,18 @@ def check_against_reference(g, data, max_given=6):
     # empty C, a random C, C meeting B, and A inside C
     for cond in (set(), c, c | meet, c | a):
         assert mu_separated(g, a, b, cond) == reference_mu_separated(g, a, b, cond)
-        want = sum(g._bit[v] for v in g.nodes
-                   if not reference_mu_separated(g, a, {v}, cond))
+        reached = reference_head_reach(g, a, cond)
+        if per_node:
+            assert reached == {v for v in g.nodes
+                               if not reference_mu_separated(g, a, {v}, cond)}
+        want = sum(g._bit[v] for v in reached)
         assert separation._from(g, *separation._start(g, a, cond)) == want
 
 
 @given(sparse_dmg(), st.data())
 @settings(max_examples=300)
 def test_compiled_search_matches_reference(g, data):
-    check_against_reference(g, data)
+    check_against_reference(g, data, per_node=True)
 
 
 # No shrink phase: shrinking a failure on graphs this wide takes minutes, so
