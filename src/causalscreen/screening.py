@@ -18,11 +18,15 @@ Every pair stage is one loop, ``_screen``: for each ordered pair (a, b)
 still carrying an edge, query a against b given each set of the stage's
 set rule in turn; the first independent answer deletes a -> b and becomes
 its certificate. Self-pairs are never tested; loops are never deleted.
+A run builds each node's one-node set once (``_singletons``), and every
+query names its source and target by those sets.
 
-* trek (``trek_step``): {b}. Independence rules out any trek into b from
-  a. Exactly n(n-1) queries.
+* trek (``trek_step``): {b}, the target's own set, so the oracle sees
+  ``given is targets``. Independence rules out any trek into b from a.
+  Exactly n(n-1) queries.
 * parent (``parent_step``): pa(b) minus a (b's loop keeps b in it), read
-  live from the mutating graph, not from a snapshot.
+  live from the mutating graph, not from a snapshot, and frozen in one
+  copy. Parent sets stay mutable, so a removal is O(1).
 * CA: every subset of the observed nodes other than a, by increasing size,
   lexicographic within a size; ``_ca_sets`` freezes them once per source.
 
@@ -36,6 +40,18 @@ test passes; deletions are applied as one sorted batch.
   and a is no ancestor of c, then b is no ancestor of c either.
 * ``ancestry_propagation``: front edge a -> b or b -> a; the test is one
   query of a against c given the empty set, repeats included.
+
+What a run keeps
+----------------
+A run returns its graph, its call count, its certificates and its trace,
+and the trace is kept as decisions, not objects. Each stage returns its
+trace record: the pairs it visited, in visiting order, and one byte per
+pair, 0 for a pair skipped because its edge was gone, 1 for kept, 2 for
+removed. The trek and parent stages share the run's pair list; the
+propagation's pairs are its sorted deletions. ``LearnResult.trace``
+decodes the ``TraceEntry`` tuple on each read. A certificate is the
+conditioning set the oracle was asked with, not a copy: a trek
+certificate is the target's one-node set.
 
 Compositions
 ------------
@@ -55,7 +71,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
+from operator import attrgetter
 from typing import Sequence
 
 from ._numbers import integer
@@ -89,7 +106,14 @@ class TraceEntry:
     stage: str         # "trek", "ancestry", "parent", "ca"
 
 
-@dataclass
+# Decision codes of a trace record, one byte per pair a stage visits: 0 for
+# a pair skipped because its edge was already gone, then kept and removed.
+_KEPT, _REMOVED = 1, 2
+_ACTIONS = (None, "kept", "removed")
+_CODES = {"kept": _KEPT, "removed": _REMOVED}
+
+
+@dataclass(init=False)
 class LearnResult:
     """Outcome of a screening run.
 
@@ -97,12 +121,50 @@ class LearnResult:
     justified the removal. Edges removed by the propagation stages carry no
     separating set for the pair itself; they appear in the trace with stage
     ``"ancestry"`` instead.
+
+    The trace is stored as its record: per stage, in run order, the pairs
+    the stage visited and one decision code per pair (skipped, kept or
+    removed). ``trace`` decodes the ``TraceEntry`` tuple from it on each
+    read, so the generated ``==`` and ``repr`` see that tuple. The
+    constructor takes a trace and encodes it, one record segment per run
+    of entries with the same stage; an action other than "kept" or
+    "removed" is a ValueError.
     """
     graph: DirectedMixedGraph
     algorithm: Algorithm
     oracle_calls: int
     certificates: dict
-    trace: tuple
+    trace: tuple       # the property below, decoded from the record
+
+    def __init__(self, graph: DirectedMixedGraph, algorithm: Algorithm,
+                 oracle_calls: int, certificates: dict, trace: Sequence[TraceEntry]):
+        self.graph = graph
+        self.algorithm = algorithm
+        self.oracle_calls = oracle_calls
+        self.certificates = certificates
+        record = []
+        for stage, entries in groupby(trace, attrgetter("stage")):
+            entries = tuple(entries)
+            try:
+                codes = bytes(_CODES[e.action] for e in entries)
+            except KeyError as exc:
+                raise ValueError(f"unknown trace action {exc.args[0]!r}") from None
+            record.append((stage, tuple(e.edge for e in entries), codes))
+        self._record = tuple(record)
+
+    @classmethod
+    def _of_record(cls, graph, algorithm, oracle_calls, certificates, record) -> "LearnResult":
+        """A result whose trace record a run built, taken as it is."""
+        result = cls(graph, algorithm, oracle_calls, certificates, ())
+        result._record = record
+        return result
+
+    @property
+    def trace(self) -> tuple:
+        """Every decision of the run, in the order it was made."""
+        return tuple(TraceEntry(pair, _ACTIONS[code], stage)
+                     for stage, pairs, codes in self._record
+                     for pair, code in zip(pairs, codes) if code)
 
 
 def _complete(nodes) -> dict:
@@ -137,32 +199,46 @@ def _ordered_pairs(nodes: Sequence[int], order: str, seed: int):
     return pairs
 
 
+def _singletons(nodes) -> dict:
+    """Each node's one-node set, built once so every query of a run shares it."""
+    return {v: frozenset((v,)) for v in nodes}
+
+
 # -- the pair loop and the triple sweep (operate on a parent map) ----------
 
 
-def _screen(oracle, parents, pairs, stage, sets, trace, certs):
-    """Delete each present a -> b at the first ``given`` in ``sets`` that separates."""
+def _screen(oracle, parents, pairs, single, stage, sets, certs) -> tuple:
+    """Delete each present a -> b at the first ``given`` in ``sets`` that separates.
+
+    Returns the stage's trace record: (stage, pairs, one code per pair).
+    """
     query = oracle.query
-    for a, b in pairs:
-        if a not in parents[b]:
+    codes = bytearray(len(pairs))
+    for i, pair in enumerate(pairs):
+        a, b = pair
+        pb = parents[b]
+        if a not in pb:
             continue
-        source, target = frozenset((a,)), frozenset((b,))
-        for given in sets(parents, a, b):
+        source, target = single[a], single[b]
+        for given in sets(parents, single, a, b):
             if query(source, target, given):
-                parents[b].discard(a)
-                certs[(a, b)] = frozenset(given)
-                trace.append(TraceEntry((a, b), "removed", stage))
+                pb.discard(a)
+                certs[pair] = given
+                codes[i] = _REMOVED
                 break
         else:
-            trace.append(TraceEntry((a, b), "kept", stage))
+            codes[i] = _KEPT
+    return stage, pairs, codes
 
 
-def _trek_sets(parents, a, b):
-    return ((b,),)
+def _trek_sets(parents, single, a, b):
+    return (single[b],)
 
 
-def _parent_sets(parents, a, b):
-    return (frozenset(parents[b] - {a}),)
+def _parent_sets(parents, single, a, b):
+    # a is in pa(b), so {a} ^ pa(b) is pa(b) \ {a}: one frozenset, copied
+    # from pa(b) with a dropped
+    return (single[a] ^ parents[b],)
 
 
 def _ca_sets():
@@ -174,7 +250,7 @@ def _ca_sets():
     """
     current = {}
 
-    def sets(parents, a, b):
+    def sets(parents, single, a, b):
         subsets = current.get(a)
         if subsets is None:
             rest = [v for v in parents if v != a]
@@ -186,8 +262,12 @@ def _ca_sets():
     return sets
 
 
-def _propagate(parents, trace, front, test):
-    """Batch-delete b -> c for each triple (a, b, c) passing ``front`` and ``test``."""
+def _propagate(parents, front, test) -> tuple:
+    """Batch-delete b -> c for each triple (a, b, c) passing ``front`` and ``test``.
+
+    Returns the stage's trace record: the deleted pairs, sorted, which is
+    the order they are deleted in, each coded as removed.
+    """
     doomed = set()
     for a in parents:
         for b in parents:
@@ -198,9 +278,10 @@ def _propagate(parents, trace, front, test):
                     continue
                 if test(a, c):
                     doomed.add((b, c))
-    for b, c in sorted(doomed):
+    doomed = sorted(doomed)
+    for b, c in doomed:
         parents[c].discard(b)
-        trace.append(TraceEntry((b, c), "removed", "ancestry"))
+    return "ancestry", doomed, bytes((_REMOVED,)) * len(doomed)
 
 
 def _one_way(parents, a, b):
@@ -209,6 +290,12 @@ def _one_way(parents, a, b):
 
 def _either_way(parents, a, b):
     return a in parents[b] or b in parents[a]
+
+
+def _marginal_test(oracle, single):
+    """The tested propagation's query: a against c given the empty set."""
+    query, empty = oracle.query, frozenset()
+    return lambda a, c: query(single[a], single[c], empty)
 
 
 # -- public single-step operations -----------------------------------------
@@ -225,21 +312,22 @@ def trek_step(oracle, observed=None) -> DirectedMixedGraph:
 def parent_step(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """One live pass of parent-set tests over the present edges of ``dg``."""
     parents = _parent_map(dg)
-    _screen(oracle, parents, _ordered_pairs(dg.nodes, "lex", 0), "parent", _parent_sets, [], {})
+    _screen(oracle, parents, _ordered_pairs(dg.nodes, "lex", 0), _singletons(dg.nodes),
+            "parent", _parent_sets, {})
     return _graph(parents, dg.labels())
 
 
 def ancestry_propagation_cheap(dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """Query-free batch deletion of edges contradicted by ancestry patterns."""
     parents = _parent_map(dg)
-    _propagate(parents, [], _one_way, lambda a, c: True)
+    _propagate(parents, _one_way, lambda a, c: True)
     return _graph(parents, dg.labels())
 
 
 def ancestry_propagation(oracle, dg: DirectedMixedGraph) -> DirectedMixedGraph:
     """Batch deletion driven by marginal-independence queries on triples."""
     parents = _parent_map(dg)
-    _propagate(parents, [], _either_way, lambda a, c: oracle.query({a}, {c}, ()))
+    _propagate(parents, _either_way, _marginal_test(oracle, _singletons(dg.nodes)))
     return _graph(parents, dg.labels())
 
 
@@ -264,25 +352,25 @@ def run(algorithm, oracle, observed=None, *, order: str = "lex",
     pairs = _ordered_pairs(obs, order, seed)
 
     parents = _complete(obs)
-    trace: list = []
+    single = _singletons(obs)
     certs: dict = {}
     calls_before = oracle.calls
 
     if algorithm is Algorithm.CA:
-        _screen(oracle, parents, pairs, "ca", _ca_sets(), trace, certs)
+        record = [_screen(oracle, parents, pairs, single, "ca", _ca_sets(), certs)]
     else:
-        _screen(oracle, parents, pairs, "trek", _trek_sets, trace, certs)
+        record = [_screen(oracle, parents, pairs, single, "trek", _trek_sets, certs)]
         if algorithm is Algorithm.CSAPC:
-            _propagate(parents, trace, _one_way, lambda a, c: True)
+            record.append(_propagate(parents, _one_way, lambda a, c: True))
         elif algorithm is Algorithm.CSAP:
-            _propagate(parents, trace, _either_way, lambda a, c: oracle.query({a}, {c}, ()))
+            record.append(_propagate(parents, _either_way, _marginal_test(oracle, single)))
         if algorithm is not Algorithm.TREK_ONLY:
-            _screen(oracle, parents, pairs, "parent", _parent_sets, trace, certs)
+            record.append(_screen(oracle, parents, pairs, single, "parent", _parent_sets, certs))
 
-    return LearnResult(
-        graph=_graph(parents, [oracle.label(v) for v in obs]),
-        algorithm=algorithm,
-        oracle_calls=oracle.calls - calls_before,
-        certificates=certs,
-        trace=tuple(trace),
+    return LearnResult._of_record(
+        _graph(parents, [oracle.label(v) for v in obs]),
+        algorithm,
+        oracle.calls - calls_before,
+        certs,
+        tuple(record),
     )

@@ -555,6 +555,16 @@ def graph_strategy(draw, max_n=6, with_bidirected=True):
     return DirectedMixedGraph(n, directed, bidirected)
 
 
+def _pair(code: int) -> tuple:
+    """The code-th pair of naturals, by increasing maximum.
+
+    The first m * m codes are the pairs below m, for every m.
+    """
+    m = math.isqrt(code)
+    r = code - m * m
+    return (r, m) if r <= m else (m, r - m - 1)
+
+
 @st.composite
 def sparse_dmg(draw, max_n=30, min_n=1, min_degree=0):
     """Random directed mixed graph on arbitrary nonnegative ids.
@@ -562,17 +572,26 @@ def sparse_dmg(draw, max_n=30, min_n=1, min_degree=0):
     With ``min_degree`` d, at least d * n directed and d * n // 2
     bidirected edges are drawn (before duplicates and loops drop out), so
     wide graphs are not left with a handful of edges.
+
+    Each edge is one integer draw, a code for its pair, in one ``st.lists``
+    per edge list, so a list costs one draw per edge, not two, and keeps
+    the bounds it always had (the upper one capped at n * n codes). The
+    codes in a list are distinct, so a list Hypothesis draws as one repeated
+    value does not collapse into one edge. A small code names the same pair
+    whatever n is, so a failure can shrink n without moving its edges.
+    Failures shrink n, the ids, each list (dropping edges) and each code.
     """
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     ids = sorted(draw(st.sets(st.integers(0, 10**9), min_size=n, max_size=n)))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    directed = draw(st.lists(pair, min_size=min_degree * n, max_size=3 * n))
-    bidirected = draw(st.lists(pair, min_size=min_degree * n // 2, max_size=n))
-    return DirectedMixedGraph(
-        ids,
-        [(ids[t], ids[h]) for t, h in directed],
-        [(ids[x], ids[y]) for x, y in bidirected if x != y],
-    )
+
+    def edges(min_size, max_size):
+        codes = st.integers(0, n * n - 1)
+        drawn = draw(st.lists(codes, min_size=min_size, max_size=min(max_size, n * n), unique=True))
+        return [(ids[t], ids[h]) for t, h in map(_pair, drawn)]
+
+    directed = edges(min_degree * n, 3 * n)
+    bidirected = edges(min_degree * n // 2, n)
+    return DirectedMixedGraph(ids, directed, [(x, y) for x, y in bidirected if x != y])
 
 
 def reference_thinning(model: HawkesModel, interventions: Sequence[Intervention],

@@ -1,4 +1,6 @@
 """Screening stages and their compositions against the graphical oracle."""
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,12 @@ from causalscreen import (
     DirectedMixedGraph,
     GraphError,
     GraphicalOracle,
+    LearnResult,
+    TraceEntry,
     ancestry_propagation,
     ancestry_propagation_cheap,
     canonical_dg,
+    directed_part,
     excess_edges,
     latent_projection,
     parent_graph,
@@ -64,11 +69,16 @@ class TestTrekStep:
         assert oracle.calls == 6
 
     def test_queries_condition_on_the_target(self, demo_graph):
+        """The conditioning set is the target's own set, and each node has one set."""
         oracle = LoggingOracle(GraphicalOracle(demo_graph, observed=DEMO_OBS))
         trek_step(oracle)
+        single = {}
         for sources, targets, given, _ in oracle.log:
-            assert given == targets
+            assert given is targets
             assert len(sources) == len(targets) == 1
+            for node_set in (sources, targets):
+                assert single.setdefault(next(iter(node_set)), node_set) is node_set
+        assert len(single) == len(DEMO_OBS)
 
     def test_exact_cost_everywhere(self):
         for k, g in enumerate(random_corpus(40, 808)):
@@ -387,3 +397,171 @@ class TestSoundnessAndBudget:
                 excess_edges(res.graph, truth)  # raises on a missing edge
                 if algo in ("cs", "csapc"):
                     assert res.oracle_calls <= 2 * m * (m - 1)
+
+
+# The pair stages of each algorithm, in run order.
+STAGES = {
+    Algorithm.CA: ("ca",),
+    Algorithm.TREK_ONLY: ("trek",),
+    Algorithm.CS: ("trek", "parent"),
+    Algorithm.CSAPC: ("trek", "ancestry", "parent"),
+    Algorithm.CSAP: ("trek", "ancestry", "parent"),
+}
+
+
+def hidden_projection(truth, data):
+    """The projection of ``truth`` onto a drawn nonempty observed set."""
+    hidden = data.draw(st.sets(st.sampled_from(truth.nodes), max_size=truth.n - 1))
+    return latent_projection(truth, [v for v in truth.nodes if v not in hidden])
+
+
+def check_pair_stage(entries, queries, certificates):
+    """One pair stage's trace entries against the queries it asked, in order.
+
+    Each entry is one run of queries about its pair: every answer but the
+    last is "dependent", and the last decides. An independent answer
+    removes the edge, and its conditioning set is the certificate.
+    """
+    runs = [(pair, list(qs)) for pair, qs in groupby(queries, key=lambda q: q[:2])]
+    assert [e.edge for e in entries] == [pair for pair, _ in runs]
+    for entry, (pair, qs) in zip(entries, runs):
+        *dependent, (_, _, given, independent) = qs
+        assert not any(q[3] for q in dependent)
+        assert entry.action == ("removed" if independent else "kept")
+        if independent:
+            assert certificates[pair] == given
+
+
+class TestTrace:
+    # 60 examples, or more under a profile that asks for more (CI's fuzz)
+    @given(sparse_dmg(min_n=2, max_n=9), st.data())
+    @settings(max_examples=max(60, settings.default.max_examples))
+    def test_trace_matches_queries_certificates_and_graph(self, truth, data):
+        """The decoded trace of every algorithm, in lex and random order.
+
+        Stages come whole and in run order. The first stage lists every
+        ordered pair once, in the order the queries ask about them. The
+        propagation lists its removals sorted, each an edge the trek stage
+        kept. The parent stage lists, in trek order, each pair whose edge
+        reached it. Removals are the certificates' keys plus the
+        propagation's, and the graph is the complete graph without them.
+        The public constructor, given the decoded trace, builds an equal
+        result.
+        """
+        projection = hidden_projection(truth, data)
+        observed = projection.nodes
+        pairs = {(a, b) for a in observed for b in observed if a != b}
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        for algo in Algorithm:
+            for order in ({"order": "lex"}, {"order": "random", "seed": seed}):
+                oracle = LoggingOracle(GraphicalOracle(projection))
+                res = run(algo, oracle, **order)
+                queries = [(a, b, given, answer)
+                           for (a,), (b,), given, answer in oracle.log]
+                assert len(queries) == res.oracle_calls
+                stages = STAGES[algo]
+                by_stage = {s: [e for e in res.trace if e.stage == s] for s in stages}
+                assert res.trace == tuple(e for s in stages for e in by_stage[s])
+
+                first = by_stage[stages[0]]
+                assert {e.edge for e in first} == pairs
+                assert len(first) == len(pairs)
+                parent = by_stage.get("parent", [])
+                # trek: one query per pair; then the propagation's marginal
+                # queries (CSAP only); then one parent query per entry
+                split = len(queries) - len(parent)
+                check_pair_stage(first, queries if algo is Algorithm.CA else queries[:len(pairs)],
+                                 res.certificates)
+                check_pair_stage(parent, queries[split:], res.certificates)
+                middle = [] if algo is Algorithm.CA else queries[len(pairs):split]
+                assert all(given == frozenset() for _, _, given, _ in middle)
+                assert algo is Algorithm.CSAP or not middle
+
+                ancestry = [e.edge for e in by_stage.get("ancestry", [])]
+                assert ancestry == sorted(set(ancestry))
+                kept_by_trek = [e.edge for e in first if e.action == "kept"]
+                assert set(ancestry) <= set(kept_by_trek)
+                if "parent" in stages:
+                    assert [e.edge for e in parent] == [
+                        pair for pair in kept_by_trek if pair not in ancestry]
+
+                removed = [e.edge for e in res.trace if e.action == "removed"]
+                assert len(removed) == len(set(removed))
+                assert set(removed) == pairs - nonloop(res.graph)
+                assert set(res.certificates) == set(removed) - set(ancestry)
+
+                rebuilt = LearnResult(res.graph, res.algorithm, res.oracle_calls,
+                                      res.certificates, res.trace)
+                assert rebuilt == res and rebuilt.trace == res.trace
+                assert repr(rebuilt) == repr(res)
+
+    def test_constructor_keeps_any_trace(self, chain3):
+        """A hand-built trace, with a stage that recurs, reads back as given."""
+        res = run("cs", GraphicalOracle(chain3))
+        trace = [TraceEntry((0, 1), "kept", "trek"), TraceEntry((1, 0), "removed", "trek"),
+                 TraceEntry((0, 1), "kept", "parent"), TraceEntry((2, 1), "removed", "trek")]
+        built = LearnResult(res.graph, res.algorithm, res.oracle_calls, {}, trace)
+        assert built.trace == tuple(trace)
+        assert built != LearnResult(res.graph, res.algorithm, res.oracle_calls, {}, trace[:3])
+        assert LearnResult(res.graph, res.algorithm, 0, {}, ()).trace == ()
+        with pytest.raises(ValueError, match="unknown trace action 'dropped'"):
+            LearnResult(res.graph, res.algorithm, 0, {}, [TraceEntry((0, 1), "dropped", "trek")])
+
+
+class FlippingOracle:
+    """Forwards to an oracle but gives the wrong answer at chosen query indices.
+
+    ``wrong`` records (pair, answer given) for each flipped query.
+    """
+
+    def __init__(self, oracle, flips):
+        self._oracle = oracle
+        self._flips = flips
+        self._asked = 0
+        self.wrong: list = []
+        self.observed = oracle.observed
+
+    @property
+    def calls(self) -> int:
+        return self._oracle.calls
+
+    def label(self, v):
+        return self._oracle.label(v)
+
+    def query(self, sources, targets, given=()):
+        answer = self._oracle.query(sources, targets, given)
+        k, self._asked = self._asked, self._asked + 1
+        if k in self._flips:
+            answer = not answer
+            (a,), (b,) = sources, targets
+            self.wrong.append(((a, b), answer))
+        return answer
+
+
+@given(sparse_dmg(min_n=2, max_n=9), st.data())
+@settings(max_examples=100)
+def test_each_wrong_independent_costs_cs_only_the_edge_asked_about(truth, data):
+    """CS loses at most one true edge per wrong "independent" about a true edge.
+
+    A true parent a -> b is a direct edge of the projection, so no set
+    without a separates b from a, and every CS query about (a, b)
+    conditions on such a set: only a wrong "independent" can remove it,
+    and it removes only the edge asked about. A wrong "dependent" keeps an
+    edge. So the true edges CS loses are exactly those given a wrong
+    "independent", one per such answer.
+    """
+    projection = hidden_projection(truth, data)
+    true_edges = set(directed_part(projection).nonloop_directed)
+    order = data.draw(st.sampled_from([{"order": "lex"}, {"order": "random", "seed": 7}]))
+    honest = LoggingOracle(GraphicalOracle(projection))
+    run("cs", honest, **order)
+    # any queries, plus some about true edges, so that losses are common
+    on_true = [k for k, ((a,), (b,), _, _) in enumerate(honest.log) if (a, b) in true_edges]
+    flips = data.draw(st.sets(st.integers(0, max(len(honest.log) - 1, 0)), max_size=3))
+    if on_true:
+        flips |= data.draw(st.sets(st.sampled_from(on_true), max_size=2))
+    oracle = FlippingOracle(GraphicalOracle(projection), flips)
+    res = run("cs", oracle, **order)
+    lost = true_edges - nonloop(res.graph)
+    wrong_independent = [pair for pair, said in oracle.wrong if said and pair in true_edges]
+    assert lost == set(wrong_independent)
