@@ -197,8 +197,12 @@ def subsample(g: DirectedMixedGraph, m: int, seed: int, *,
     PCG64 stream, so the result is a pure function of (graph, m, seed,
     exponent). Exponent 0 gives uniform sampling.
     """
+    m = integer(m, "sample size", GraphError)
     if not 1 <= m <= g.n:
         raise GraphError(f"sample size {m} not in [1, {g.n}]")
+    seed = integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     weights = degree_weights(g, weight_exponent)
     rng = np.random.Generator(np.random.PCG64(seed))
     remaining = list(g.nodes)
@@ -230,6 +234,7 @@ def run_connectome(fh: IO[str], spec: ConnectomeSpec, algorithm, seed: int, *,
     both. k is clamped to the sample size.
     """
     algorithm = Algorithm(algorithm)
+    topk = integer(topk, "topk")
     if topk < 0:
         raise ValueError(f"topk must be >= 0, got {topk}")
     truth_dmg = ingest_connectome(fh, spec.threshold)

@@ -28,7 +28,6 @@ to the graph directly instead of writing edge tuples out.
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Iterable, Mapping
 from typing import Optional, TextIO, Union
 
@@ -396,31 +395,12 @@ def parent_graph(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixe
 
     The result has an edge ``a -> b`` (both observed) exactly when the input
     has a directed path from ``a`` to ``b`` whose intermediate nodes are all
-    unobserved. Requires a pure directed graph (no bidirected edges).
+    unobserved: the directed part of the latent projection, which is how it
+    is computed. Requires a pure directed graph (no bidirected edges).
     """
     if g.bidirected:
         raise GraphError("parent_graph is defined for directed graphs only")
-    obs = _check_subset(g, observed)
-    edges = set()
-    for a in sorted(obs):
-        # expand through unobserved nodes only
-        seen_hidden = set()
-        frontier = deque()
-        for c in g.children(a):
-            if c in obs:
-                edges.add((a, c))
-            elif c not in seen_hidden:
-                seen_hidden.add(c)
-                frontier.append(c)
-        while frontier:
-            v = frontier.popleft()
-            for c in g.children(v):
-                if c in obs:
-                    edges.add((a, c))
-                elif c not in seen_hidden:
-                    seen_hidden.add(c)
-                    frontier.append(c)
-    return DirectedMixedGraph(obs, edges, (), labels=g._labels)
+    return directed_part(latent_projection(g, observed))
 
 
 def latent_projection(g: DirectedMixedGraph, observed: Iterable[int]) -> DirectedMixedGraph:

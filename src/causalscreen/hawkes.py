@@ -343,6 +343,9 @@ def stationary_rates(model: HawkesModel) -> np.ndarray:
 @np.errstate(over="ignore")
 def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
               seed: int, force: bool, max_events: int) -> EventHistory:
+    seed = integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     max_events = integer(max_events, "max_events")
     if max_events < 0:
         raise ValueError(f"max_events must be >= 0, got {max_events}")

@@ -180,11 +180,8 @@ def _parent_map(g: DirectedMixedGraph) -> dict:
 
 
 def _graph(parents: dict, labels) -> DirectedMixedGraph:
-    """Freeze a parent map into a graph, building its masks from the parent sets."""
-    ids = tuple(integer(v, "node id", GraphError) for v in parents)
-    # repeated observed ids collapse into one key but keep their labels
-    if len(labels) != len(ids):
-        raise GraphError(f"expected {len(ids)} labels, got {len(labels)}")
+    """Freeze a parent map over int ids into a graph, masks from the parent sets."""
+    ids = tuple(parents)
     bit = {v: 1 << i for i, v in enumerate(ids)}
     pa = tuple(sum(map(bit.__getitem__, ps)) for ps in parents.values())
     return DirectedMixedGraph._of_masks(ids, labels, pa, _transpose(pa), (0,) * len(ids))
@@ -338,17 +335,27 @@ def run(algorithm, oracle, observed=None, *, order: str = "lex",
         seed: int = 0) -> LearnResult:
     """Run one screening algorithm against an oracle.
 
-    ``observed`` defaults to the oracle's observed set. ``order`` fixes the
-    pair iteration of the trek/parent/CA loops ("lex", or "random" shuffled
-    by ``seed``); the propagation stages always sweep triples
+    ``observed`` defaults to the oracle's observed set, and is read as a
+    set of ids the oracle observes. ``order`` fixes the pair iteration of
+    the trek/parent/CA loops ("lex", or "random" shuffled by ``seed``, a
+    nonnegative integer); the propagation stages always sweep triples
     lexicographically and apply removals as a batch, so their output does
-    not depend on the order. Reported calls are the oracle-counter delta
-    over the run.
+    not depend on the order. Every argument is checked before the first
+    query. Reported calls are the oracle-counter delta over the run.
     """
     algorithm = Algorithm(algorithm)
-    obs = tuple(sorted(oracle.observed if observed is None else observed))
-    if len(obs) < 1:
+    known = oracle.observed
+    obs = frozenset(integer(v, "node id", GraphError)
+                    for v in (known if observed is None else observed))
+    unknown = obs.difference(known)
+    if unknown:
+        raise GraphError(f"unknown nodes {sorted(unknown)}")
+    if not obs:
         raise GraphError("observed set must be nonempty")
+    seed = integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    obs = tuple(sorted(obs))
     pairs = _ordered_pairs(obs, order, seed)
 
     parents = _complete(obs)

@@ -497,6 +497,41 @@ def reference_latent_projection(g: DirectedMixedGraph, observed) -> DirectedMixe
     return DirectedMixedGraph(obs, directed, bidirected, labels=labels)
 
 
+def reference_parent_graph(g: DirectedMixedGraph, observed) -> DirectedMixedGraph:
+    """Restrict a directed graph to ``observed``, bridging hidden chains.
+
+    The route ``parent_graph`` took before it became the directed part of
+    the latent projection: from each observed node, a breadth-first search
+    through unobserved children only, over the decoded adjacency sets. The
+    result has an edge ``a -> b`` (both observed) exactly when the input
+    has a directed path from ``a`` to ``b`` whose intermediate nodes are
+    all unobserved. Requires a pure directed graph (no bidirected edges).
+    """
+    if g.bidirected:
+        raise GraphError("parent_graph is defined for directed graphs only")
+    obs = _node_subset(g, observed)
+    edges = set()
+    for a in sorted(obs):
+        # expand through unobserved nodes only
+        seen_hidden = set()
+        frontier = deque()
+        for c in g.children(a):
+            if c in obs:
+                edges.add((a, c))
+            elif c not in seen_hidden:
+                seen_hidden.add(c)
+                frontier.append(c)
+        while frontier:
+            v = frontier.popleft()
+            for c in g.children(v):
+                if c in obs:
+                    edges.add((a, c))
+                elif c not in seen_hidden:
+                    seen_hidden.add(c)
+                    frontier.append(c)
+    return DirectedMixedGraph(obs, edges, (), labels={v: g.label(v) for v in obs})
+
+
 def check_masks_as_constructed(g: DirectedMixedGraph) -> None:
     """``g``'s masks are those the public constructor builds from its edges.
 

@@ -27,7 +27,6 @@ from causalscreen import (
     excess_edges,
     latent_projection,
     mu_separated,
-    parent_graph,
     random_dmg,
     run,
     simulate,
@@ -38,7 +37,13 @@ from causalscreen import (
 from causalscreen.cli import main as cli_main
 from conftest import DEMO_EDGES, DEMO_LABELS, DEMO_OBS
 import helpers
-from helpers import brute_force_mu_separated, directed_trek_exists, powerset, random_observed
+from helpers import (
+    brute_force_mu_separated,
+    directed_trek_exists,
+    powerset,
+    random_observed,
+    reference_parent_graph,
+)
 
 SEED = 20250819
 ALGOS = ("cs", "csapc", "csap", "ca")
@@ -85,7 +90,7 @@ def screening_results():
     }
     for g, obs in screening_corpus():
         dg, _ = canonical_dg(g)
-        truth = parent_graph(dg, obs)
+        truth = reference_parent_graph(dg, obs)
         proj = latent_projection(g, obs)
         m = len(obs)
         sibs = {v for pair in proj.bidirected for v in pair}
@@ -157,7 +162,7 @@ def test_criterion_03_projection_directed_part_is_parent_graph():
         g = random_dmg(CorpusConfig(n, pd, 0.0, 1, SEED), k)
         obs = random_observed(g.n, SEED, k)
         checked += 1
-        if directed_part(latent_projection(g, obs)) != parent_graph(g, obs):
+        if directed_part(latent_projection(g, obs)) != reference_parent_graph(g, obs):
             mismatches += 1
     assert report(3, mismatches == 0, f"{checked} graphs, {mismatches} mismatches")
 
@@ -221,7 +226,7 @@ def test_criterion_08_reference_worked_example():
     got = set(res.graph.nonloop_directed)
     # the hidden fork f keeps e -> d: e <- f -> d connects given any C
     want = {(0, 3), (0, 4), (3, 4), (4, 3)}
-    truth_parent = parent_graph(canonical_dg(truth)[0], DEMO_OBS)
+    truth_parent = reference_parent_graph(canonical_dg(truth)[0], DEMO_OBS)
     got_excess = excess_edges(res.graph, truth_parent)
     ok = got == want and got_excess == 2
     assert report(

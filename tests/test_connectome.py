@@ -271,6 +271,15 @@ class TestSubsample:
             subsample(self.G, 9, 1)
         with pytest.raises(GraphError):
             subsample(self.G, 0, 1)
+        for m in (2.5, True, "2", None):
+            with pytest.raises(GraphError, match="sample size .+ is not an integer"):
+                subsample(self.G, m, 0)
+        for seed in (1.5, True, "0", None):
+            with pytest.raises(ValueError, match="seed .+ is not an integer"):
+                subsample(self.G, 3, seed)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            subsample(self.G, 3, -1)
+        assert subsample(self.G, np.int64(2), np.int64(9)) == subsample(self.G, 2, 9)
 
     def test_uniform_when_exponent_zero(self):
         hits = {v: 0 for v in self.G.nodes}
@@ -398,6 +407,9 @@ class TestPipeline:
         spec = ConnectomeSpec(threshold=4, sample=3)
         with pytest.raises(ValueError, match="topk must be >= 0, got -1"):
             run_connectome(io.StringIO("bad,header\n"), spec, "cs", 0, topk=-1)
+        for topk in (1.5, True, "3", None):
+            with pytest.raises(ValueError, match="topk .+ is not an integer"):
+                run_connectome(io.StringIO("bad,header\n"), spec, "cs", 0, topk=topk)
 
     def test_output_always_covers_truth(self):
         # excess >= 0 by construction; a missing true edge raises inside

@@ -12,8 +12,9 @@ LIBRARY = [
 ]
 MODULES = [causalscreen, *LIBRARY, importlib.import_module("causalscreen.cli")]
 
-# Checkers of the definitions and the query-logging wrapper, kept in
-# tests/helpers.py rather than the package.
+# Checkers of the definitions, the query-logging wrapper and the hidden-chain
+# search behind parent_graph's old route, kept in tests/helpers.py rather
+# than the package.
 TEST_ONLY = (
     "brute_force_mu_separated",
     "_bf_connecting_targets",
@@ -22,6 +23,7 @@ TEST_ONLY = (
     "_two_disjoint_paths",
     "BRUTE_FORCE_NODE_CAP",
     "LoggingOracle",
+    "reference_parent_graph",
 )
 
 

@@ -425,6 +425,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"max_events (must be >= 0|.+ is not an integer)"):
             simulate_intervened(m, Intervention(0, (1.0,)), 1, max_events=cap)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.float64(3.0)])
+    def test_bad_seed_is_rejected_before_the_run(self, seed):
+        m = HawkesModel((1.0,), ((K(0.0, 1.0),),), 5.0)
+        with pytest.raises(ValueError, match=r"seed (must be >= 0, got -1|.+ is not an integer)"):
+            simulate(m, seed)
+        with pytest.raises(ValueError, match=r"seed (must be >= 0, got -1|.+ is not an integer)"):
+            simulate_intervened(m, Intervention(0, (1.0,)), seed)
+
     def test_event_cap_takes_numpy_ints_and_zero(self):
         m = HawkesModel((1.0,), ((K(0.5, 1.0),),), 5.0)
         assert simulate(m, 2, max_events=np.int64(10_000)) == simulate(m, 2)

@@ -1,5 +1,6 @@
 """The closure-built latent projection against one-at-a-time elimination,
-and separation among observed nodes under projection and canonical form."""
+its directed part against the hidden-chain search, and separation among
+observed nodes under projection and canonical form."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,10 +8,16 @@ from causalscreen import (
     DirectedMixedGraph,
     GraphicalOracle,
     canonical_dg,
+    directed_part,
     latent_projection,
     mu_separated,
 )
-from helpers import LoggingOracle, reference_latent_projection, sparse_dmg
+from helpers import (
+    LoggingOracle,
+    reference_latent_projection,
+    reference_parent_graph,
+    sparse_dmg,
+)
 
 
 def labelled(g: DirectedMixedGraph) -> DirectedMixedGraph:
@@ -32,10 +39,15 @@ def check_projection(g, observed):
     assert got == want
     assert got.labels() == want.labels()
     assert latent_projection(g, g.nodes) is g
+    # parent_graph's route, on mixed graphs too: each bidirected edge becomes
+    # a hidden fork, which adds no directed edge among the observed nodes
+    part = directed_part(got)
+    chains = reference_parent_graph(canonical_dg(g)[0], observed)
+    assert (part, part.labels()) == (chains, chains.labels())
 
 
 @given(graph_and_observed())
-@settings(max_examples=400)
+@settings(max_examples=max(400, settings.default.max_examples))
 def test_projection_matches_elimination(case):
     check_projection(*case)
 

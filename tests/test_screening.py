@@ -1,4 +1,5 @@
 """Screening stages and their compositions against the graphical oracle."""
+import re
 from itertools import groupby
 
 import numpy as np
@@ -19,7 +20,6 @@ from causalscreen import (
     directed_part,
     excess_edges,
     latent_projection,
-    parent_graph,
     parent_step,
     run,
     trek_step,
@@ -35,6 +35,7 @@ from helpers import (
     powerset,
     random_corpus,
     random_observed,
+    reference_parent_graph,
     sparse_dmg,
     walk_is_mu_connecting,
 )
@@ -200,7 +201,7 @@ class TestDemoReference:
                 ):
                     unremovable.add((u, v))
         assert unremovable == {(0, 3), (0, 4), (3, 4), (4, 3)}
-        truth = parent_graph(canonical_dg(demo_graph)[0], DEMO_OBS)
+        truth = reference_parent_graph(canonical_dg(demo_graph)[0], DEMO_OBS)
         assert set(truth.nonloop_directed) == {(0, 3), (3, 4)}
 
     def test_witness_walks(self, demo_graph):
@@ -291,8 +292,20 @@ class TestComposedRuns:
 
     def test_observed_must_be_queryable(self, demo_graph):
         oracle = GraphicalOracle(demo_graph, observed=DEMO_OBS)
-        with pytest.raises(GraphError):
-            run("cs", oracle, observed=(0, 1))
+        for observed, message in [
+            ((0, 1), "unknown nodes [1]"),
+            ((0, 3, 7, 1), "unknown nodes [1, 7]"),
+            ((0, 1.0, 3), "node id 1.0 is not an integer"),
+            ((True, 3), "node id True is not an integer"),
+            ((0, "3"), "node id '3' is not an integer"),
+            ((), "observed set must be nonempty"),
+        ]:
+            with pytest.raises(GraphError, match=re.escape(message)):
+                run("cs", oracle, observed=observed)
+            # rejected before the first query
+            assert oracle.calls == 0, observed
+        # a repeated id is the same id
+        assert run("cs", oracle, observed=(0, 0, 3)) == run("cs", oracle, observed=(0, 3))
 
     def test_deterministic_end_to_end(self, demo_graph):
         a = run("csap", oracle_for(demo_graph))
@@ -305,6 +318,23 @@ class TestComposedRuns:
         a = run("cs", oracle_for(demo_graph), order="random", seed=11)
         b = run("cs", oracle_for(demo_graph), order="random", seed=11)
         assert a.trace == b.trace
+        c = run("cs", oracle_for(demo_graph), order="random", seed=np.int64(11))
+        assert c == a
+
+    @pytest.mark.parametrize("order", ["lex", "random"])
+    @pytest.mark.parametrize("seed, message", [
+        (-7, "seed must be >= 0, got -7"),
+        (True, "seed True is not an integer"),
+        ("abc", "seed 'abc' is not an integer"),
+        (2.5, "seed 2.5 is not an integer"),
+        (None, "seed None is not an integer"),
+    ])
+    def test_bad_seed_is_rejected_before_the_first_query(self, demo_graph, order, seed,
+                                                         message):
+        oracle = oracle_for(demo_graph)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run("cs", oracle, order=order, seed=seed)
+        assert oracle.calls == 0
 
     def test_order_does_not_change_exact_recovery(self):
         truth = DirectedMixedGraph(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
@@ -376,12 +406,10 @@ def test_learned_graphs_build_constructor_masks(g, data):
         check_masks_as_constructed(built)
 
 
-def test_explicit_observed_ids_become_ints_and_repeats_fail(chain3):
+def test_explicit_observed_ids_become_ints(chain3):
     res = run("cs", GraphicalOracle(chain3), [np.int64(0), np.int64(2)])
     assert res.graph.nodes == (0, 2) and all(type(v) is int for v in res.graph.nodes)
     check_masks_as_constructed(res.graph)
-    with pytest.raises(GraphError, match="expected 2 labels, got 3"):
-        run("cs", GraphicalOracle(chain3), [0, 0, 1])
 
 
 class TestSoundnessAndBudget:
@@ -390,7 +418,7 @@ class TestSoundnessAndBudget:
         for k, g in enumerate(random_corpus(60, 2024, ns=(3, 4, 5, 6))):
             obs = random_observed(g.n, 2024, k)
             dg, _ = canonical_dg(g)
-            truth = parent_graph(dg, obs)
+            truth = reference_parent_graph(dg, obs)
             m = len(obs)
             for algo in ("cs", "csapc", "csap", "ca"):
                 res = run(algo, GraphicalOracle(g, obs))
