@@ -31,10 +31,16 @@ def real_type(t: type) -> bool:
 
 
 def reals(values, where: str) -> tuple:
-    """Each value as a float; a non-number or an int beyond float range raises."""
+    """Each value as a float; a non-number or an int beyond float range raises.
+
+    A tuple whose values are all exactly ``float`` comes back as itself.
+    """
     values = tuple(values)
     # One check per distinct type, not per value: event times pass through here.
-    if not all(map(real_type, set(map(type, values)))):
+    types = set(map(type, values))
+    if types <= {float}:
+        return values
+    if not all(map(real_type, types)):
         bad = next(v for v in values if not real_type(type(v)))
         raise ValueError(f"{where} must be a number, got {bad!r}")
     try:

@@ -154,7 +154,7 @@ def _cmd_simulate(ns) -> int:
     with _out(ns.out) as fh:
         if ns.format == "json":
             _dump_json({"T": model.horizon,
-                        "times": [list(row) for row in history.times]}, fh)
+                        "times": history.times}, fh)
         else:
             history.to_csv(fh)
     return 0

@@ -237,6 +237,9 @@ def run_connectome(fh: IO[str], spec: ConnectomeSpec, algorithm, seed: int, *,
     topk = integer(topk, "topk")
     if topk < 0:
         raise ValueError(f"topk must be >= 0, got {topk}")
+    seed = integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     truth_dmg = ingest_connectome(fh, spec.threshold)
     sample = subsample(truth_dmg, min(spec.sample, truth_dmg.n), seed,
                        weight_exponent=spec.weight_exponent)

@@ -36,6 +36,16 @@ list of event times: the node's own intensity is zero (no baseline and no
 kernel support in its row), but its forced events still excite the rest
 of the network through the usual kernels.
 
+A history is written in time order, ties broken by node id. Its rows are
+laid end to end, node by node, in one float array and sorted by one stable
+argsort, which keeps equal times (``0.0`` and ``-0.0`` among them) in node
+order, as sorting (time, node) tuples does; each event's node comes from
+``searchsorted`` over the cumulative row counts. ``merged`` and ``to_csv``
+read that order in blocks of 4,096 events, and ``to_csv`` writes each block
+with one call, so no tuple is built per event. The sampler turns each of
+its row lists into a tuple in place and hands the rows over: a tuple of
+exact floats is kept as it is, not copied.
+
 The compensator sums each source's events through the recurrence
 g <- g * exp(-b * gap) + 1, run by ``itertools.accumulate`` over
 ``math.exp`` values, which gives the floats of a per-event forward sweep.
@@ -52,7 +62,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -78,6 +88,8 @@ __all__ = [
 EVENT_CAP_DEFAULT = 10_000_000
 # uniforms drawn per call to the generator while thinning
 _UNIFORM_BLOCK = 4096
+# events put in time order, and event CSV lines written, per block
+_EVENT_BLOCK = 4096
 
 
 class SimulationError(RuntimeError):
@@ -231,16 +243,31 @@ class EventHistory:
     def total(self) -> int:
         return sum(len(row) for row in self.times)
 
+    def _time_order(self) -> Iterator[tuple]:
+        """Events in time order, ties by node, in blocks of (times, nodes) lists.
+
+        The rows are laid end to end, node by node, and sorted by one stable
+        argsort, which keeps equal times (``-0.0`` and ``0.0`` among them)
+        in node order, as sorting (time, node) tuples does. A block looks up
+        its times and nodes only when it is reached.
+        """
+        counts = self.counts()
+        flat = np.fromiter(chain.from_iterable(self.times), float, sum(counts))
+        order = flat.argsort(kind="stable")
+        ends = np.cumsum(counts)
+        for lo in range(0, order.size, _EVENT_BLOCK):
+            at = order[lo:lo + _EVENT_BLOCK]
+            yield flat[at].tolist(), ends.searchsorted(at, "right").tolist()
+
     def merged(self) -> list:
         """All events as (time, node), sorted by time with node as tiebreak."""
-        out = [(t, v) for v, row in enumerate(self.times) for t in row]
-        out.sort()
-        return out
+        return [event for block in self._time_order() for event in zip(*block)]
 
     def to_csv(self, fh: IO[str]) -> None:
         fh.write("node,time\n")
-        for t, v in self.merged():
-            fh.write(f"{v},{t!r}\n")
+        line = "{},{!r}\n".format
+        for times, nodes in self._time_order():
+            fh.write("".join(map(line, nodes, times)))
 
     @classmethod
     def from_csv(cls, fh: IO[str], *, n: int, horizon: float) -> "EventHistory":
@@ -414,7 +441,6 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
     add_reduce, add_reduceat = add.reduce, add.reduceat
     log1p, inf = math.log1p, math.inf
     events: list = [[] for _ in range(n)]
-    appends = [row.append for row in events]
     t = 0.0
     total = 0
 
@@ -465,12 +491,16 @@ def _thinning(model: HawkesModel, interventions: Sequence[Intervention],
             node = min(int(cum.searchsorted(draw() * ltot, "right")), n - 1)
             stalled = same and events[node][-1:] == [t]
         by_source[node] += 1.0
-        appends[node](t)
+        events[node].append(t)
         total += 1
         if total > max_events:
             raise SimulationError(f"event cap {max_events} exceeded; model exploding?")
 
-    return EventHistory(tuple(tuple(row) for row in events), T)
+    # Each row becomes a tuple in place, so only one row at a time is held
+    # as both; EventHistory keeps tuples of exact floats without a copy.
+    for v, row in enumerate(events):
+        events[v] = tuple(row)
+    return EventHistory(tuple(events), T)
 
 
 def simulate(model: HawkesModel, seed: int, *, force: bool = False,

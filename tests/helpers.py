@@ -757,6 +757,21 @@ def reference_compensator(model: HawkesModel, history: EventHistory, node: int,
         out += (k.a / k.b) * (counts - sums)
     return out
 
+
+def reference_merged(history: EventHistory) -> list:
+    """``EventHistory.merged`` as it was before the argsort: one tuple per event."""
+    out = [(t, v) for v, row in enumerate(history.times) for t in row]
+    out.sort()
+    return out
+
+
+def reference_event_csv(history: EventHistory, fh: IO[str]) -> None:
+    """``EventHistory.to_csv`` as it was before the argsort: one line per write."""
+    fh.write("node,time\n")
+    for t, v in reference_merged(history):
+        fh.write(f"{v},{t!r}\n")
+
+
 def _reference_parse_row(lineno: int, line: str) -> tuple:
     parts = [p.strip() for p in line.split(",")]
     if len(parts) != 4:

@@ -410,6 +410,11 @@ class TestPipeline:
         for topk in (1.5, True, "3", None):
             with pytest.raises(ValueError, match="topk .+ is not an integer"):
                 run_connectome(io.StringIO("bad,header\n"), spec, "cs", 0, topk=topk)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_connectome(io.StringIO("bad,header\n"), spec, "cs", -1)
+        for seed in (1.5, True, "0"):
+            with pytest.raises(ValueError, match="seed .+ is not an integer"):
+                run_connectome(io.StringIO("bad,header\n"), spec, "cs", seed)
 
     def test_output_always_covers_truth(self):
         # excess >= 0 by construction; a missing true edge raises inside

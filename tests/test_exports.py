@@ -12,9 +12,9 @@ LIBRARY = [
 ]
 MODULES = [causalscreen, *LIBRARY, importlib.import_module("causalscreen.cli")]
 
-# Checkers of the definitions, the query-logging wrapper and the hidden-chain
-# search behind parent_graph's old route, kept in tests/helpers.py rather
-# than the package.
+# Checkers of the definitions, the query-logging wrapper, the hidden-chain
+# search behind parent_graph's old route and the event writer's old
+# tuple-sort route, kept in tests/helpers.py rather than the package.
 TEST_ONLY = (
     "brute_force_mu_separated",
     "_bf_connecting_targets",
@@ -24,6 +24,8 @@ TEST_ONLY = (
     "BRUTE_FORCE_NODE_CAP",
     "LoggingOracle",
     "reference_parent_graph",
+    "reference_merged",
+    "reference_event_csv",
 )
 
 

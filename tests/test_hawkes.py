@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -30,8 +31,14 @@ from causalscreen import (
     stationarity_check,
     stationary_rates,
 )
-from causalscreen.hawkes import EVENT_CAP_DEFAULT, _UNIFORM_BLOCK, _thinning
-from helpers import reference_compensator, reference_thinning
+from causalscreen._numbers import reals
+from causalscreen.hawkes import EVENT_CAP_DEFAULT, _EVENT_BLOCK, _UNIFORM_BLOCK, _thinning
+from helpers import (
+    reference_compensator,
+    reference_event_csv,
+    reference_merged,
+    reference_thinning,
+)
 
 K = ExponentialKernel
 
@@ -184,6 +191,30 @@ class TestCausalGraph:
 # Values that are not times, although float() accepts each of them.
 NOT_TIMES = ("0.5", b"1.5", True, False, np.True_)
 
+# Types a drawn time may take; the int types take only integral times, so
+# EventHistory reads every one back as the same float.
+TIME_TYPES = (float, np.float64, int, np.int64)
+
+
+@st.composite
+def event_histories(draw):
+    """Histories with ties across nodes, ``0.0`` beside ``-0.0``, empty rows,
+    times of several Python types and, now and then, more than one CSV block."""
+    n = draw(st.integers(1, 5))
+    # quarters make equal times on different nodes likely
+    time = st.one_of(st.integers(0, 40).map(lambda k: k / 4), st.just(-0.0),
+                     st.floats(0.0, 10.0))
+    rows = [set(draw(st.lists(time, max_size=8))) for _ in range(n)]
+    # multiples of 1/512 below 10, the quarters among them
+    bulk = draw(st.sampled_from((0, 0, _EVENT_BLOCK - 1, _EVENT_BLOCK, 5000)))
+    rows[draw(st.integers(0, n - 1))].update(k / 512 for k in range(bulk))
+    out = []
+    for row in rows:
+        kinds = cycle(draw(st.lists(st.sampled_from(TIME_TYPES), min_size=1, max_size=8)))
+        out.append(tuple(kind(t) if kind in (float, np.float64) or t.is_integer() else t
+                         for kind, t in zip(kinds, sorted(row))))
+    return EventHistory(tuple(out), 10.0)
+
 
 class TestEventHistory:
     def test_validation(self):
@@ -211,6 +242,18 @@ class TestEventHistory:
                 EventHistory(times, 10.0)
             assert str(info.value) == f"event time must be a number, got {time!r}"
 
+    def test_exact_floats_are_kept_and_other_numbers_become_floats(self):
+        row = (0.5, 1.0, 2.5)
+        assert reals(row, "event time") is row
+        assert EventHistory((row,), 10.0).times[0] is row
+        for value in (np.float64(0.5), np.int64(1), 1):
+            got = reals((value,), "event time")
+            assert got == (float(value),) and type(got[0]) is float
+        # under numpy 2 a leaked np.float64 would print as np.float64(0.5)
+        h = EventHistory(((np.float64(0.5),),), 10.0)
+        assert type(h.times[0][0]) is float
+        assert repr(h.merged()) == "[(0.5, 0)]"
+
     def test_merge_and_counts(self):
         h = EventHistory(((0.5, 2.0), (1.0,)), 10.0)
         assert h.counts() == (2, 1)
@@ -224,6 +267,20 @@ class TestEventHistory:
         assert buf.getvalue() == "node,time\n0,0.5\n1,1.0\n0,2.0\n"
         back = EventHistory.from_csv(io.StringIO(buf.getvalue()), n=2, horizon=10.0)
         assert back == h
+
+    # 200 examples, or more under a profile that asks for more (CI's fuzz)
+    @given(event_histories())
+    @settings(max_examples=max(200, settings.default.max_examples))
+    def test_time_order_matches_tuple_sort(self, h):
+        want = reference_merged(h)
+        got = h.merged()
+        assert got == want
+        assert [tuple(map(type, e)) for e in got] == [tuple(map(type, e)) for e in want]
+        assert [math.copysign(1.0, t) for t, _ in got] == [math.copysign(1.0, t) for t, _ in want]
+        buf, ref = io.StringIO(), io.StringIO()
+        h.to_csv(buf)
+        reference_event_csv(h, ref)
+        assert buf.getvalue() == ref.getvalue()
 
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):
